@@ -24,6 +24,7 @@ from .families import (
 )
 from .graphs import Graph, GraphError, graph6_decode, parse_edge_list
 from .spectral import (
+    ConvergenceFailureError,
     DisconnectedGraphError,
     kf_spectral,
     laplacian_spectrum,
@@ -271,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         ParamOutOfRangeError,
         BudgetExceededError,
         DisconnectedGraphError,
+        ConvergenceFailureError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

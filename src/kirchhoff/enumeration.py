@@ -10,18 +10,20 @@ quantified claims are safe to check with duplicates):
 
 Cardinalities are computed up front and checked against a budget so large
 requests refuse gracefully.  The bulk kernels process subsets in blocks of
-a few tens of thousands through batched dense eigensolves; work splits into
-disjoint rank ranges whose partial results merge associatively, so the scan
-output is identical for any worker count.
+a few tens of thousands through batched dense eigensolves.  One scan engine
+(:func:`scan`) runs every exhaustive scan: work splits into disjoint rank
+ranges, one per worker, and every block's partial result merges in rank
+order, so the scan output is identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -187,20 +189,25 @@ def subset_blocks(
         rank += len(chunk)
 
 
+def batch_adjacency(n: int, subsets: np.ndarray, dtype) -> np.ndarray:
+    """(B, n, n) adjacency matrices of the graphs whose edges the subset rows select."""
+    table = complete_edge_table(n)
+    eu = np.array([e[0] for e in table])
+    ev = np.array([e[1] for e in table])
+    A = np.zeros((subsets.shape[0], n, n), dtype=dtype)
+    rows = np.arange(subsets.shape[0])[:, None]
+    A[rows, eu[subsets], ev[subsets]] = 1
+    A[rows, ev[subsets], eu[subsets]] = 1
+    return A
+
+
 def batch_eigenvalues(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
     """Ascending Laplacian eigenvalues for each subset row.
 
     Rows select edges of K_n by index; ``deleted`` interprets the subset as
     removed from K_n rather than as the edge set itself.
     """
-    table = complete_edge_table(n)
-    eu = np.array([e[0] for e in table])
-    ev = np.array([e[1] for e in table])
-    B = subsets.shape[0]
-    A = np.zeros((B, n, n))
-    rows = np.arange(B)[:, None]
-    A[rows, eu[subsets], ev[subsets]] = 1.0
-    A[rows, ev[subsets], eu[subsets]] = 1.0
+    A = batch_adjacency(n, subsets, float)
     if deleted:
         A = (1.0 - np.eye(n)) - A
     deg = A.sum(axis=2)
@@ -221,14 +228,7 @@ def batch_kf(n: int, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_cycle_length(n: int, subsets: np.ndarray) -> np.ndarray:
     """Vertices left after iterated leaf removal (the cycle, for unicyclic rows)."""
-    table = complete_edge_table(n)
-    eu = np.array([e[0] for e in table])
-    ev = np.array([e[1] for e in table])
-    B = subsets.shape[0]
-    A = np.zeros((B, n, n), dtype=bool)
-    rows = np.arange(B)[:, None]
-    A[rows, eu[subsets], ev[subsets]] = True
-    A[rows, ev[subsets], eu[subsets]] = True
+    A = batch_adjacency(n, subsets, bool)
     for _ in range(n):
         deg = A.sum(axis=2)
         leaves = deg == 1
@@ -272,7 +272,7 @@ def wiener_block(n: int, start: int, stop: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scan drivers (associative partial results; deterministic for any job count)
+# Value-group pooling
 
 
 def _cluster_groups(sorted_vals: np.ndarray, tol: float) -> np.ndarray:
@@ -297,91 +297,97 @@ def _pool_top_groups(
     return vals[keep], ranks[keep]
 
 
-def _scan_subsets_worker(args) -> tuple:
-    (n, k, deleted, objective, top, tol, start, stop, block) = args
-    checked = 0
-    connected_count = 0
-    pool_vals: list[np.ndarray] = []
-    pool_ranks: list[np.ndarray] = []
-    m = n * (n - 1) // 2
-    for rank0, subs in subset_blocks(m, k, start, stop, block):
-        eigs = batch_eigenvalues(n, subs, deleted)
-        connected, kf = batch_kf(n, eigs)
-        checked += subs.shape[0]
-        connected_count += int(connected.sum())
-        idx = np.nonzero(connected)[0]
-        v, r = _pool_top_groups(
-            kf[idx], rank0 + idx.astype(np.int64), objective, top, tol
-        )
-        pool_vals.append(v)
-        pool_ranks.append(r)
-    vals = np.concatenate(pool_vals) if pool_vals else np.zeros(0)
-    ranks = np.concatenate(pool_ranks) if pool_ranks else np.zeros(0, dtype=np.int64)
-    return checked, connected_count, vals, ranks
+# ---------------------------------------------------------------------------
+# The scan engine: one worker turns each block of a contiguous rank range
+# into a partial result with a kernel; one driver splits [0, total) across
+# jobs and merges every block's partial in rank order.  The merge sees the
+# same partials for any job count, so the result is the same too.
 
 
-def _scan_unicyclic_worker(args) -> tuple:
-    (n, tol, start, stop, block) = args
-    checked = 0
-    connected_count = 0
-    by_girth: dict[int, list] = {}
-    m = n * (n - 1) // 2
-    for rank0, subs in subset_blocks(m, n, start, stop, block):
-        eigs = batch_eigenvalues(n, subs, deleted=False)
-        connected, kf = batch_kf(n, eigs)
-        checked += subs.shape[0]
-        connected_count += int(connected.sum())
-        idx = np.nonzero(connected)[0]
-        if idx.size == 0:
-            continue
-        girth = batch_cycle_length(n, subs[idx])
-        for g in np.unique(girth):
-            sel = idx[girth == g]
-            v, r = _pool_top_groups(
-                kf[sel], rank0 + sel.astype(np.int64), "max", 1, tol
-            )
-            by_girth.setdefault(int(g), []).append((v, r))
-    merged = {
-        g: (np.concatenate([v for v, _ in parts]), np.concatenate([r for _, r in parts]))
-        for g, parts in by_girth.items()
-    }
-    return checked, connected_count, merged
+class Blocks(NamedTuple):
+    """The members [0, total) of a space in rank order, ``size`` ranks a block.
+
+    With ``k`` set the space is the k-subsets of range(m) and a block is its
+    (B, k) index rows from :func:`subset_blocks`; otherwise a block is its
+    stop rank, for kernels that decode ranks themselves (Prüfer codes).
+    """
+
+    total: int
+    size: int
+    m: int = 0
+    k: int | None = None
 
 
-def _scan_trees_worker(args) -> tuple:
-    (n, start, stop, block) = args
-    max_w = n**3 // 6 + 2
-    hist = np.zeros(max_w, dtype=np.int64)
-    first_rank: dict[int, int] = {}
-    for s in range(start, stop, block):
-        e = min(s + block, stop)
-        W = wiener_block(n, s, e)
-        hist += np.bincount(W, minlength=max_w)
-        for w in np.unique(W):
-            w = int(w)
-            if w not in first_rank:
-                first_rank[w] = s + int(np.argmax(W == w))
-    return hist, first_rank
+def _scan_worker(task) -> list:
+    """``kernel(first rank, block)`` for each block of one contiguous rank range."""
+    blocks, kernel, start, stop = task
+    if blocks.k is not None:
+        walk = subset_blocks(blocks.m, blocks.k, start, stop, blocks.size)
+    else:
+        walk = ((s, min(s + blocks.size, stop)) for s in range(start, stop, blocks.size))
+    return [kernel(rank0, block) for rank0, block in walk]
 
 
-def _run_partitioned(worker, arg_builder, total: int, jobs: int):
-    """Apply ``worker`` over disjoint rank ranges, inline or in a fork pool."""
-    jobs = max(1, min(jobs, total)) if total else 1
+def scan(blocks: Blocks, kernel, merge, jobs: int = 1):
+    """``merge`` of every block's ``kernel(first rank, block)``, in rank order.
+
+    [0, total) splits into ``jobs`` contiguous ranges, run inline at jobs=1
+    and in a fork pool otherwise, where ``kernel`` must pickle (a
+    module-level function or a partial of one).
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, blocks.total)
+    bounds = [blocks.total * i // jobs for i in range(jobs + 1)]
+    tasks = [(blocks, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
     if jobs == 1:
-        return [worker(arg_builder(0, total))]
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    tasks = [arg_builder(bounds[i], bounds[i + 1]) for i in range(jobs)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(worker, tasks)
+        return merge(_scan_worker(tasks[0]))
+    with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        return merge([part for parts in pool.map(_scan_worker, tasks) for part in parts])
 
 
 @dataclass
 class SubsetScan:
+    """Partial or whole result of a scan over a subset space.
+
+    ``checked`` counts every row and ``connected`` the connected ones;
+    ``vals`` and ``ranks`` pool every member of the best value groups;
+    ``failures`` holds per-row check failures in rank order; ``by_key``
+    splits the rows by a kernel's key (cycle length, deletion pattern).
+    """
+
     checked: int
     connected: int
-    vals: np.ndarray
-    ranks: np.ndarray
+    vals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    ranks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    failures: list = field(default_factory=list)
+    by_key: dict = field(default_factory=dict)
+
+
+def merge_subset_scans(
+    objective: str, top: float, tol: float, parts: list[SubsetScan]
+) -> SubsetScan:
+    """One result from rank-ordered partials, keeping the ``top`` value groups."""
+    keys = sorted({key for p in parts for key in p.by_key})
+    merge = partial(merge_subset_scans, objective, top, tol)
+    return SubsetScan(
+        sum(p.checked for p in parts),
+        sum(p.connected for p in parts),
+        *_pool_top_groups(
+            np.concatenate([p.vals for p in parts]),
+            np.concatenate([p.ranks for p in parts]),
+            objective, top, tol,
+        ),
+        [f for p in parts for f in p.failures],
+        {key: merge([p.by_key[key] for p in parts if key in p.by_key]) for key in keys},
+    )
+
+
+def _kf_kernel(n, deleted, objective, top, tol, rank0, subs) -> SubsetScan:
+    connected, kf = batch_kf(n, batch_eigenvalues(n, subs, deleted))
+    idx = np.nonzero(connected)[0]
+    pooled = _pool_top_groups(kf[idx], rank0 + idx, objective, top, tol)
+    return SubsetScan(subs.shape[0], idx.size, *pooled)
 
 
 def scan_subsets(
@@ -395,45 +401,38 @@ def scan_subsets(
     block: int = 1 << 15,
 ) -> SubsetScan:
     """Pooled members of the ``top`` best Kf value groups over a subset space."""
-    total = math.comb(n * (n - 1) // 2, k)
-    parts = _run_partitioned(
-        _scan_subsets_worker,
-        lambda a, b: (n, k, deleted, objective, top, tol, a, b, block),
-        total,
+    m = n * (n - 1) // 2
+    return scan(
+        Blocks(math.comb(m, k), block, m, k),
+        partial(_kf_kernel, n, deleted, objective, top, tol),
+        partial(merge_subset_scans, objective, top, tol),
         jobs,
     )
-    checked = sum(p[0] for p in parts)
-    connected = sum(p[1] for p in parts)
-    vals = np.concatenate([p[2] for p in parts])
-    ranks = np.concatenate([p[3] for p in parts])
-    vals, ranks = _pool_top_groups(vals, ranks, objective, top, tol)
-    return SubsetScan(checked, connected, vals, ranks)
+
+
+def _girth_kernel(n, tol, rank0, subs) -> SubsetScan:
+    connected, kf = batch_kf(n, batch_eigenvalues(n, subs, deleted=False))
+    idx = np.nonzero(connected)[0]
+    girth = batch_cycle_length(n, subs[idx])
+    by_girth = {}
+    for g in np.unique(girth):
+        sel = idx[girth == g]
+        pooled = _pool_top_groups(kf[sel], rank0 + sel, "max", 1, tol)
+        by_girth[int(g)] = SubsetScan(sel.size, sel.size, *pooled)
+    return SubsetScan(subs.shape[0], idx.size, by_key=by_girth)
 
 
 def scan_unicyclic_by_girth(
     n: int, tol: float = 1e-7, jobs: int = 1, block: int = 1 << 15
-) -> tuple[int, int, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Per-cycle-length maximal Kf groups over connected n-vertex n-edge graphs."""
-    total = math.comb(n * (n - 1) // 2, n)
-    parts = _run_partitioned(
-        _scan_unicyclic_worker, lambda a, b: (n, tol, a, b, block), total, jobs
+) -> SubsetScan:
+    """Maximal Kf group per cycle length (``by_key``) over connected n-edge graphs on n vertices."""
+    m = n * (n - 1) // 2
+    return scan(
+        Blocks(math.comb(m, n), block, m, n),
+        partial(_girth_kernel, n, tol),
+        partial(merge_subset_scans, "max", 1, tol),
+        jobs,
     )
-    checked = sum(p[0] for p in parts)
-    connected = sum(p[1] for p in parts)
-    merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for _, _, part in parts:
-        for g, (v, r) in part.items():
-            if g in merged:
-                merged[g] = (
-                    np.concatenate([merged[g][0], v]),
-                    np.concatenate([merged[g][1], r]),
-                )
-            else:
-                merged[g] = (v, r)
-    merged = {
-        g: _pool_top_groups(v, r, "max", 1, tol) for g, (v, r) in merged.items()
-    }
-    return checked, connected, merged
 
 
 @dataclass
@@ -443,16 +442,21 @@ class TreeScan:
     first_rank: dict[int, int]
 
 
+def _wiener_kernel(n, start, stop) -> TreeScan:
+    W = wiener_block(n, start, stop)
+    hist = np.bincount(W, minlength=n**3 // 6 + 2)
+    first_rank = {int(w): start + int(np.argmax(W == w)) for w in np.flatnonzero(hist)}
+    return TreeScan(stop - start, hist, first_rank)
+
+
+def _merge_histograms(parts: list[TreeScan]) -> TreeScan:
+    first_rank: dict[int, int] = {}
+    for part in parts:  # rank order: the first sighting has the lowest rank
+        for w, rank in part.first_rank.items():
+            first_rank.setdefault(w, rank)
+    return TreeScan(sum(p.count for p in parts), sum(p.hist for p in parts), first_rank)
+
+
 def scan_labeled_trees(n: int, jobs: int = 1, block: int = 1 << 19) -> TreeScan:
     """Exact Wiener histogram over all labeled trees, with first-rank witnesses."""
-    total = n ** (n - 2)
-    parts = _run_partitioned(
-        _scan_trees_worker, lambda a, b: (n, a, b, block), total, jobs
-    )
-    hist = sum(p[0] for p in parts)
-    first_rank: dict[int, int] = {}
-    for _, fr in parts:
-        for w, rank in fr.items():
-            if w not in first_rank or rank < first_rank[w]:
-                first_rank[w] = rank
-    return TreeScan(int(hist.sum()), hist, first_rank)
+    return scan(Blocks(n ** (n - 2), block), partial(_wiener_kernel, n), _merge_histograms, jobs)

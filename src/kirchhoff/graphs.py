@@ -289,10 +289,10 @@ def graph6_decode(text: str) -> Graph:
     """Inverse of :func:`graph6_encode`; strict about range, length and padding."""
     if not text:
         raise Graph6FormatError("empty graph6 string", 0)
-    raw = text.encode("ascii", errors="replace")
-    for off, byte in enumerate(raw):
-        if not _G6_MIN <= byte <= _G6_MAX:
-            raise Graph6FormatError(f"byte {byte} outside graph6 range [63,126]", off)
+    for off, char in enumerate(text):
+        if not _G6_MIN <= ord(char) <= _G6_MAX:
+            raise Graph6FormatError(f"character {char!r} outside graph6 range [63,126]", off)
+    raw = text.encode("ascii")
     n = raw[0] - 63
     if n > 62:
         raise Graph6FormatError(f"size byte encodes n={n} > 62", 0)

@@ -21,6 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -412,6 +413,8 @@ def extremal_search(
         raise ParamOutOfRangeError(f"objective must be min or max, got {objective!r}")
     if k < 1:
         raise ParamOutOfRangeError("witness count must be >= 1")
+    if jobs < 1:
+        raise ParamOutOfRangeError(f"jobs must be >= 1, got {jobs}")
     check_budget(spec, budget)
     if spec.mode == "labeled-trees":
         scan = enum.scan_labeled_trees(spec.n, jobs=jobs)
@@ -517,13 +520,30 @@ def _deleted_space_params(params: dict) -> tuple[int, int]:
     return n, p
 
 
-def _iter_deleted_graphs(n: int, p: int) -> Iterator[tuple[tuple, Graph]]:
+def _connected_deletions(
+    n: int, rank0: int, subs: np.ndarray
+) -> Iterator[tuple[int, list, Graph]]:
+    """(rank, deleted edges, K_n minus them) for each connected row of a block."""
     table = complete_edge_table(n)
     full = set(table)
-    from itertools import combinations
+    for row, idx in enumerate(subs.tolist()):
+        deleted = [table[i] for i in idx]
+        g = make_graph(n, full - set(deleted))
+        if is_connected(g):
+            yield rank0 + row, deleted, g
 
-    for subset in combinations(table, p):
-        yield subset, make_graph(n, full - set(subset))
+
+def _scan_deleted(
+    n: int, p: int, budget: int, jobs: int, kernel, top: float = 1, block: int = 1 << 15
+) -> enum.SubsetScan:
+    """``kernel`` over every p-edge deletion from K_n; pools keep the ``top`` maximal groups."""
+    total = check_budget(enum.deleted_edges(n, p), budget)
+    return enum.scan(
+        enum.Blocks(total, block, n * (n - 1) // 2, p),
+        kernel,
+        partial(enum.merge_subset_scans, "max", top, TIE_TOL),
+        jobs,
+    )
 
 
 def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
@@ -564,57 +584,65 @@ def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
-def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
-    n, p = _deleted_space_params(params)
-    report = VerificationReport("upper-bound", {"n": n, "p": p})
-    check_budget(enum.deleted_edges(n, p), budget)
-    star = build(FamilySpec("kn-minus-star", (n, p)))
-    star_kf = closed_form_kf(FamilySpec("kn-minus-star", (n, p)))
-    star_kf_f = float(star_kf)
-    max_pool: list[tuple[float, tuple]] = []
-    checked = 0
-    for subset, g in _iter_deleted_graphs(n, p):
-        if not is_connected(g):
-            continue
-        checked += 1
+def _failure(g: Graph, observed: str, expected: str) -> Counterexample:
+    return Counterexample(graph6_encode(g), observed, expected)
+
+
+def _upper_bound_kernel(n: int, p: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
+    """Per-row checks of the full and simple upper bounds and their equality case;
+    the Kf of every connected row goes to the pool, which keeps the maximal group."""
+    failures: list[Counterexample] = []
+    vals, ranks = [], []
+    for rank, _, g in _connected_deletions(n, rank0, subs):
         kf = kf_spectral(g)
         rec = bound_eval(n, p, g)
         full_f = float(rec.upper_kf_full)
-        shape = complement_shape(g)
-        is_star = shape == ComplementShape("star", p)
+        is_star = complement_shape(g) == ComplementShape("star", p)
         if kf > full_f + VALUE_TOL * max(1.0, full_f):
-            report.fail(graph6_encode(g), f"Kf {format_real(kf)}", f"<= full bound {format_real(full_f)}")
+            failures.append(
+                _failure(g, f"Kf {format_real(kf)}", f"<= full bound {format_real(full_f)}")
+            )
         if rec.upper_kf_full > rec.upper_kf_simple:
-            report.fail(
-                graph6_encode(g),
+            failures.append(_failure(
+                g,
                 f"full {format_exact(rec.upper_kf_full)}",
                 f"<= simple {format_exact(rec.upper_kf_simple)}",
-            )
+            ))
         tight = abs(kf - full_f) <= VALUE_TOL * max(1.0, full_f)
         if tight != is_star:
-            report.fail(
-                graph6_encode(g),
+            failures.append(_failure(
+                g,
                 f"equality-with-bound={tight}, star-complement={is_star}",
                 "equality exactly on star complements",
-            )
-        if not max_pool or kf > max_pool[0][0] + TIE_TOL * max(1.0, kf):
-            max_pool = [(kf, subset)]
-        elif abs(kf - max_pool[0][0]) <= TIE_TOL * max(1.0, kf):
-            max_pool.append((kf, subset))
-    report.checked_count = checked
-    max_kf = max(v for v, _ in max_pool)
+            ))
+        vals.append(kf)
+        ranks.append(rank)
+    pool = np.array(vals), np.array(ranks, dtype=np.int64)
+    return enum.SubsetScan(subs.shape[0], len(vals), *pool, failures)
+
+
+def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
+    n, p = _deleted_space_params(params)
+    report = VerificationReport("upper-bound", {"n": n, "p": p})
+    scan = _scan_deleted(n, p, budget, jobs, partial(_upper_bound_kernel, n, p))
+    report.checked_count = scan.connected
+    report.counterexamples.extend(scan.failures)
+    star = build(FamilySpec("kn-minus-star", (n, p)))
+    star_kf = closed_form_kf(FamilySpec("kn-minus-star", (n, p)))
+    star_kf_f = float(star_kf)
+    max_kf = float(scan.vals.max())
     if abs(max_kf - star_kf_f) > VALUE_TOL * max(1.0, star_kf_f):
         report.fail("-", f"max Kf {format_real(max_kf)}", f"Kf of star deletion {format_exact(star_kf)}")
     expected = count_labeled_stars(n, p)
-    if len(max_pool) != expected:
-        report.fail("-", f"{len(max_pool)} maximizers", f"{expected} labeled stars")
-    for _, subset in max_pool:
-        shape = _shape_of_edges(list(subset))
+    if scan.ranks.size != expected:
+        report.fail("-", f"{scan.ranks.size} maximizers", f"{expected} labeled stars")
+    for rank in np.sort(scan.ranks):
+        g = _graph_from_subset_rank(n, p, int(rank), deleted=True)
+        shape = complement_shape(g)
         if shape != ComplementShape("star", p):
-            g = make_graph(n, set(complete_edge_table(n)) - set(subset))
             report.fail(graph6_encode(g), f"complement {shape.kind}", f"star({p})")
     report.extremal_witnesses.append(
-        Witness(1, graph6_encode(star), max_kf, len(max_pool))
+        Witness(1, graph6_encode(star), max_kf, int(scan.ranks.size))
     )
     report.notes.append(
         f"maximum {format_exact(star_kf)} attained exactly on star complements"
@@ -622,30 +650,34 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
+def _tree_count_kernel(n: int, p: int, bound: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
+    """Per-row spanning-tree bound checks; pools the rows with t == bound."""
+    failures: list[Counterexample] = []
+    connected, equal = 0, []
+    for rank, deleted, g in _connected_deletions(n, rank0, subs):
+        connected += 1
+        t = tree_count(g)
+        is_star = _shape_of_edges(deleted) == ComplementShape("star", p)
+        if t < bound:
+            failures.append(_failure(g, f"t={t}", f"t >= {bound}"))
+        if (t == bound) != is_star:
+            failures.append(_failure(
+                g, f"t={t}, star-complement={is_star}", f"t == {bound} exactly on star complements"
+            ))
+        if t == bound:
+            equal.append(rank)
+    vals, ranks = np.full(len(equal), float(bound)), np.array(equal, dtype=np.int64)
+    return enum.SubsetScan(subs.shape[0], connected, vals, ranks, failures)
+
+
 def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("tree-count-bound", {"n": n, "p": p})
-    check_budget(enum.deleted_edges(n, p), budget)
     bound = bound_eval(n, p).tree_count_lower
-    checked = 0
-    equality_count = 0
-    for subset, g in _iter_deleted_graphs(n, p):
-        if not is_connected(g):
-            continue
-        checked += 1
-        t = tree_count(g)
-        is_star = _shape_of_edges(list(subset)) == ComplementShape("star", p)
-        if t < bound:
-            report.fail(graph6_encode(g), f"t={t}", f"t >= {bound}")
-        if (t == bound) != is_star:
-            report.fail(
-                graph6_encode(g),
-                f"t={t}, star-complement={is_star}",
-                f"t == {bound} exactly on star complements",
-            )
-        if t == bound:
-            equality_count += 1
-    report.checked_count = checked
+    scan = _scan_deleted(n, p, budget, jobs, partial(_tree_count_kernel, n, p, bound))
+    report.checked_count = scan.connected
+    report.counterexamples.extend(scan.failures)
+    equality_count = scan.ranks.size  # one value group: every row with t == bound
     expected = count_labeled_stars(n, p)
     if equality_count != expected:
         report.fail("-", f"{equality_count} equality cases", f"{expected} labeled stars")
@@ -653,45 +685,57 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
+def _min_ordering_kernel(n: int, p: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
+    """Batched Kf of every connected row, split by its deletion-pattern key."""
+    connected, kf = enum.batch_kf(n, enum.batch_eigenvalues(n, subs, deleted=True))
+    deg = enum.batch_adjacency(n, subs, bool).sum(axis=2)
+    keys = deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
+    rows = np.nonzero(connected)[0]
+    by_key = {}
+    for key in np.unique(keys[rows]):
+        sel = rows[keys[rows] == key]
+        by_key[(p, int(key))] = enum.SubsetScan(sel.size, sel.size, kf[sel], rank0 + sel)
+    return enum.SubsetScan(subs.shape[0], rows.size, by_key=by_key)
+
+
 def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
     (n,) = _require_params(params, "n")
     if n < 6:
         raise ParamOutOfRangeError("min-ordering needs n >= 6 (all nine deletions defined)")
     report = VerificationReport("min-ordering", {"n": n})
-    table = complete_edge_table(n)
-    per_pattern: dict[int, list[float]] = {i: [] for i in range(1, 10)}
-    checked = 0
-    for p in range(4):
-        spec = enum.deleted_edges(n, p)
-        check_budget(spec, budget)
-        for block_start, subs in enum.subset_blocks(len(table), p, 0, cardinality(spec), 1 << 14):
-            eigs = enum.batch_eigenvalues(n, subs, deleted=True)
-            connected, kf = enum.batch_kf(n, eigs)
-            checked += subs.shape[0]
-            for row in range(subs.shape[0]):
-                if not connected[row]:
-                    continue
-                deleted = tuple(table[i] for i in subs[row])
-                pattern = _pattern_index(deleted)
-                if pattern is None:
-                    g = make_graph(n, set(table) - set(deleted))
-                    report.fail(graph6_encode(g), "unclassified deletion pattern",
-                                "one of the nine named patterns")
-                    continue
-                per_pattern[pattern].append(float(kf[row]))
+    # every key keeps the Kf of each of its rows
+    scan = enum.merge_subset_scans("max", math.inf, TIE_TOL, [
+        _scan_deleted(n, p, budget, jobs, partial(_min_ordering_kernel, n, p), math.inf, 1 << 14)
+        for p in range(4)
+    ])
+    # (p, max degree, touched vertices) tells the nine patterns apart at p <= 3,
+    # so one member classifies its key's rows; a wrong key shows as a Kf spread
+    per_pattern = {}
+    for (p, _), rows in scan.by_key.items():
+        ranks = np.sort(rows.ranks)
+        first = _graph_from_subset_rank(n, p, int(ranks[0]), deleted=True)
+        pattern = _pattern_index(complement(first).edges)
+        if pattern is not None:
+            per_pattern[pattern] = rows.vals
+            continue
+        for rank in ranks:
+            g = _graph_from_subset_rank(n, p, int(rank), deleted=True)
+            report.fail(
+                graph6_encode(g), "unclassified deletion pattern", "one of the nine named patterns"
+            )
     values = {}
     for i in range(1, 10):
         vals = per_pattern[i]
-        spread = max(vals) - min(vals)
+        spread = float(vals.max() - vals.min())
         if spread > TIE_TOL:
             report.fail("-", f"g{i} Kf spread {spread:.2e}", "identical across labelings")
-        values[i] = min(vals)
+        values[i] = float(vals.min())
         form = closed_form_kf(FamilySpec("gi", (n, i)))
         if form is not None and abs(values[i] - float(form)) > VALUE_TOL * max(1.0, float(form)):
             report.fail("-", f"g{i} Kf {format_real(values[i])}", f"closed form {format_exact(form)}")
         g = build(FamilySpec("gi", (n, i)))
         report.extremal_witnesses.append(
-            Witness(i, graph6_encode(g), values[i], len(vals))
+            Witness(i, graph6_encode(g), values[i], int(vals.size))
         )
     for i in range(1, 9):
         if not values[i + 1] > values[i] + TIE_TOL:
@@ -700,7 +744,7 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
                 f"Kf(g{i + 1})={format_real(values[i + 1])} vs Kf(g{i})={format_real(values[i])}",
                 f"Kf(g{i + 1}) > Kf(g{i}) strictly",
             )
-    report.checked_count = checked
+    report.checked_count = scan.checked
     report.notes.append(
         "every graph within three deletions realizes one of the nine named patterns"
     )
@@ -853,20 +897,19 @@ def _verify_unicyclic_max(params, budget, jobs) -> VerificationReport:
         raise ParamOutOfRangeError(f"girths must lie in 3..{n}")
     report = VerificationReport("unicyclic-max", {"n": n, "girths": tuple(girths)})
     check_budget(enum.connected_with_edges(n, n), budget)
-    checked, connected, by_girth = enum.scan_unicyclic_by_girth(n, TIE_TOL, jobs)
-    report.checked_count = checked
-    report.notes.append(f"{connected} connected graphs with n edges")
-    global_best = max(float(v.max()) for v, _ in by_girth.values())
-    vals3, _ = by_girth[3]
-    if abs(global_best - float(vals3.max())) > TIE_TOL:
+    scan = enum.scan_unicyclic_by_girth(n, TIE_TOL, jobs)
+    by_girth = scan.by_key
+    report.checked_count = scan.checked
+    report.notes.append(f"{scan.connected} connected graphs with n edges")
+    global_best = max(float(s.vals.max()) for s in by_girth.values())
+    if abs(global_best - float(by_girth[3].vals.max())) > TIE_TOL:
         report.fail("-", f"overall max {format_real(global_best)} not at cycle length 3",
                     "overall maximizer has cycle length 3")
     for rank_pos, k in enumerate(sorted(set(girths)), start=1):
         if k not in by_girth:
             report.fail("-", f"no connected graphs with cycle length {k}", "nonempty class")
             continue
-        vals, ranks = by_girth[k]
-        groups = _groups_from_pool(vals, ranks, "max", 1)
+        groups = _groups_from_pool(by_girth[k].vals, by_girth[k].ranks, "max", 1)
         lead, member_ranks = groups[0]
         _witness_family_check(
             report, rank_pos, lead, member_ranks, n, n,
@@ -972,7 +1015,8 @@ def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
                 f"{label} numeric {format_real(numeric)}",
                 f"closed form {format_exact(exact)}",
             )
-        if not numeric < float(ceiling) - TIE_TOL:
+        below = exact < ceiling if exact is not None else numeric < float(ceiling) - TIE_TOL
+        if not below:
             report.fail(
                 graph6_encode(g),
                 f"Kf({label})={format_real(numeric)}",
@@ -1060,6 +1104,8 @@ def verify_theorem(
         raise ParamOutOfRangeError(
             f"unknown theorem id {theorem_id!r}; expected one of {', '.join(THEOREM_IDS)}"
         )
+    if jobs < 1:
+        raise ParamOutOfRangeError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
     report = _VERIFIERS[theorem_id](params, budget, jobs)
     report.elapsed_seconds = time.perf_counter() - start

@@ -40,6 +40,17 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--graph6", "C\x01", "--kf")
         assert code == 2 and "byte offset 1" in err
 
+    def test_eigensolver_failure_exit_two(self, capsys, monkeypatch):
+        import numpy as np
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(capsys, "compute", "--family", "path:4", "--kf")
+        assert code == 2 and out == ""
+        assert err == "error: Eigenvalues did not converge\n"
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys, tmp_path):
@@ -65,6 +76,14 @@ class TestVerifyCommand:
     def test_param_error_exit_two(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "lower-bound", "--n", "6")
         assert code == 2 and "missing parameter" in err
+
+    def test_jobs_below_one_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--theorem", "lower-bound", "--n", "6", "--p", "2", "--jobs", "0"
+        )
+        assert code == 2 and out == "" and err == "error: jobs must be >= 1, got 0\n"
+        code, out, err = run(capsys, "search", "--trees", "6", "--max", "--jobs", "-5")
+        assert code == 2 and out == "" and err == "error: jobs must be >= 1, got -5\n"
 
     def test_determinism_except_footer(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--theorem", "upper-bound", "--n", "6", "--p", "2")

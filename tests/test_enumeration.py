@@ -142,9 +142,11 @@ class TestBulkKernels:
         assert t_one.first_rank == t_two.first_rank
 
     def test_unicyclic_girth_split(self):
-        checked, connected, by_girth = scan_unicyclic_by_girth(6)
-        assert checked == math.comb(15, 6)
+        scan = scan_unicyclic_by_girth(6)
+        by_girth = scan.by_key
+        assert scan.checked == math.comb(15, 6)
         assert set(by_girth) == {3, 4, 5, 6}
+        assert sum(s.connected for s in by_girth.values()) == scan.connected
         # the one cycle-length-6 graph class is the 6-cycle itself
-        vals6, ranks6 = by_girth[6]
+        vals6 = by_girth[6].vals
         assert abs(vals6.max() - kf_spectral(make_graph(6, [(i, (i + 1) % 6) for i in range(6)]))) < 1e-9

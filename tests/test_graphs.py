@@ -179,6 +179,12 @@ class TestGraph6:
             graph6_decode("C\x01")
         assert err.value.offset == 1
 
+    def test_non_ascii_rejected(self):
+        # read as '?' (value 0), U+00E9 would give the empty graph on 4 vertices
+        with pytest.raises(Graph6FormatError, match="byte offset 1") as err:
+            graph6_decode("C\u00e9")
+        assert err.value.offset == 1
+
     def test_truncated(self):
         with pytest.raises(Graph6FormatError):
             graph6_decode("C")

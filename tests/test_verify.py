@@ -228,7 +228,34 @@ class TestVerifyTheorem:
         assert body_a == body_b
         assert render_report(a).splitlines()[-1].startswith("elapsed_seconds:")
 
-    def test_jobs_do_not_change_report_body(self):
-        a = verify_theorem("lower-bound", {"n": 7, "p": 2}, jobs=1)
-        b = verify_theorem("lower-bound", {"n": 7, "p": 2}, jobs=2)
+    @pytest.mark.parametrize(
+        "theorem, params",
+        [
+            pytest.param("lower-bound", {"n": 7, "p": 2}, id="lower-bound"),
+            pytest.param("upper-bound", {"n": 7, "p": 3}, id="upper-bound"),
+            pytest.param("tree-count-bound", {"n": 7, "p": 3}, id="tree-count-bound"),
+            pytest.param("min-ordering", {"n": 7}, id="min-ordering"),
+            pytest.param("unicyclic-max", {"n": 6}, id="unicyclic-max"),
+        ],
+    )
+    def test_jobs_do_not_change_report_body(self, theorem, params):
+        a = verify_theorem(theorem, params, jobs=1)
+        b = verify_theorem(theorem, params, jobs=2)
         assert render_report(a).splitlines()[:-1] == render_report(b).splitlines()[:-1]
+
+    def test_max_ordering_ceiling_is_exact(self, monkeypatch):
+        # a float Kf that reads below the dumbbell must not hide the exact excess
+        import kirchhoff.verify as verify
+
+        n = 30
+        tripath = build(FamilySpec("tripath", (n, (1, n - 4))))
+        real = verify.kf_spectral
+        monkeypatch.setattr(
+            verify, "kf_spectral", lambda g: 0.0 if g == tripath else real(g)
+        )
+        rep = verify_theorem("max-ordering", {"n": n})
+        below = [
+            ce for ce in rep.counterexamples
+            if ce.observed == "Kf(C3(1,n-4))=0" and ce.expected.startswith("strictly below")
+        ]
+        assert len(below) == 1
