@@ -196,13 +196,13 @@ def _cmd_table(args) -> int:
             try:
                 spec = TABLE_FAMILIES[name](n)
                 exact = closed_form_kf(spec)
-            except FamilyParameterError as exc:
+                if exact is None:
+                    print(f"warning: skipping {name} at n={n}: no closed form", file=sys.stderr)
+                    continue
+                numeric = kf_spectral(build(spec))
+            except ValueError as exc:  # FamilyParameterError, or Kf undefined below two vertices
                 print(f"warning: skipping {name} at n={n}: {exc}", file=sys.stderr)
                 continue
-            if exact is None:
-                print(f"warning: skipping {name} at n={n}: no closed form", file=sys.stderr)
-                continue
-            numeric = kf_spectral(build(spec))
             diff = abs(numeric - float(Fraction(exact)))
             rows.append(
                 f"{name},{n},{format_exact(exact)},{format_real(numeric)},{format_real(diff)}"

@@ -13,7 +13,8 @@ requests refuse gracefully.  The bulk kernels process subsets in blocks of
 a few tens of thousands through batched dense eigensolves.  One scan engine
 (:func:`scan`) runs every exhaustive scan: work splits into disjoint rank
 ranges, one per worker, and every block's partial result merges in rank
-order, so the scan output is identical for any worker count.
+order.  Every row is visited once for any worker count, but the block
+boundaries move with it; :func:`scan` says what that can change.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .graphs import Graph, is_connected, make_graph
+from .spectral import zero_tolerance
 
 DEFAULT_BUDGET = 10**8
 
-# Spectral gap threshold separating "zero" eigenvalues from the algebraic
-# connectivity of a connected graph (>= 2(1-cos(pi/n)), about 0.0026 at
-# n=62, many orders above eigensolver noise).
-_CONN_TOL = 1e-6
+# The one tie rule: relative gap between sorted Kf values that starts a new value group.
+TIE_TOL = 1e-7
+SUBSET_BLOCK, TREE_BLOCK = 1 << 15, 1 << 19  # rows (Prüfer ranks) per scan-kernel block
 
 
 class BudgetExceededError(ValueError):
@@ -48,12 +49,11 @@ class BudgetExceededError(ValueError):
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """A quantifier domain: mode, size parameters, and connectivity filter."""
+    """A quantifier domain: mode and size parameters."""
 
     mode: str
     n: int
     count: int | None = None
-    connected_only: bool = False
 
 
 def deleted_edges(n: int, p: int) -> EnumerationSpec:
@@ -65,13 +65,13 @@ def deleted_edges(n: int, p: int) -> EnumerationSpec:
 def labeled_trees(n: int) -> EnumerationSpec:
     if n < 2:
         raise ValueError("labeled trees need n >= 2")
-    return EnumerationSpec("labeled-trees", n, None, connected_only=True)
+    return EnumerationSpec("labeled-trees", n)
 
 
 def connected_with_edges(n: int, m: int) -> EnumerationSpec:
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"no {m}-edge graphs on {n} vertices")
-    return EnumerationSpec("connected-with-edges", n, m, connected_only=True)
+    return EnumerationSpec("connected-with-edges", n, m)
 
 
 def cardinality(spec: EnumerationSpec) -> int:
@@ -219,7 +219,7 @@ def batch_eigenvalues(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
 
 def batch_kf(n: int, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(connected mask, Kirchhoff index) per row; Kf is NaN when disconnected."""
-    connected = eigs[:, 1] > _CONN_TOL
+    connected = eigs[:, 1] > zero_tolerance(n - 1)  # n - 1 bounds every row's degree
     with np.errstate(divide="ignore"):
         kf = n * np.sum(1.0 / np.maximum(eigs[:, 1:], 1e-300), axis=1)
     kf[~connected] = np.nan
@@ -275,33 +275,47 @@ def wiener_block(n: int, start: int, stop: int) -> np.ndarray:
 # Value-group pooling
 
 
-def _cluster_groups(sorted_vals: np.ndarray, tol: float) -> np.ndarray:
-    """Group ids for values already sorted by preference order."""
-    if sorted_vals.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    scale = np.maximum(1.0, np.abs(sorted_vals[:-1]))
-    new_group = np.abs(np.diff(sorted_vals)) > tol * scale
-    return np.concatenate([[0], np.cumsum(new_group)])
+def _sorted_groups(vals: np.ndarray, objective: str) -> tuple[np.ndarray, np.ndarray]:
+    """(preference order of nonempty ``vals``, value-group id of each sorted value);
+    a group ends where consecutive sorted values differ by more than TIE_TOL relatively."""
+    sign = -1.0 if objective == "max" else 1.0
+    order = np.argsort(sign * vals, kind="stable")
+    ordered = vals[order]
+    scale = np.maximum(1.0, np.abs(ordered[:-1]))
+    new_group = np.abs(np.diff(ordered)) > TIE_TOL * scale
+    return order, np.concatenate([[0], np.cumsum(new_group)])
 
 
 def _pool_top_groups(
-    vals: np.ndarray, ranks: np.ndarray, objective: str, top: int, tol: float
+    vals: np.ndarray, ranks: np.ndarray, objective: str, top: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Keep every member of the first ``top`` value groups."""
     if vals.size == 0:
         return vals, ranks
-    sign = -1.0 if objective == "max" else 1.0
-    order = np.argsort(sign * vals, kind="stable")
-    groups = _cluster_groups(vals[order], tol)
+    order, groups = _sorted_groups(vals, objective)
     keep = order[groups < top]
     return vals[keep], ranks[keep]
+
+
+def value_groups(
+    vals: np.ndarray, ranks: np.ndarray, objective: str, top: int
+) -> list[tuple[float, np.ndarray]]:
+    """The first ``top`` value groups of a pool: (value of the lowest-rank member, sorted ranks)."""
+    if vals.size == 0:
+        return []
+    order, ids = _sorted_groups(vals, objective)
+    groups = []
+    for gid in range(min(top, int(ids[-1]) + 1)):
+        members = order[ids == gid]
+        lead = vals[members[np.argmin(ranks[members])]]
+        groups.append((float(lead), np.sort(ranks[members])))
+    return groups
 
 
 # ---------------------------------------------------------------------------
 # The scan engine: one worker turns each block of a contiguous rank range
 # into a partial result with a kernel; one driver splits [0, total) across
-# jobs and merges every block's partial in rank order.  The merge sees the
-# same partials for any job count, so the result is the same too.
+# jobs and merges every block's partial in rank order.
 
 
 class Blocks(NamedTuple):
@@ -333,7 +347,11 @@ def scan(blocks: Blocks, kernel, merge, jobs: int = 1):
 
     [0, total) splits into ``jobs`` contiguous ranges, run inline at jobs=1
     and in a fork pool otherwise, where ``kernel`` must pickle (a
-    module-level function or a partial of one).
+    module-level function or a partial of one).  A range can start mid-block,
+    so block boundaries depend on ``jobs``; per-row values, counts, failures
+    and histograms do not.  Pooled value groups do when near-ties chain across
+    more than TIE_TOL, since a block missing a middle value splits the chain;
+    exact tie adjudication would remove that dependence.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -364,73 +382,62 @@ class SubsetScan:
     by_key: dict = field(default_factory=dict)
 
 
-def merge_subset_scans(
-    objective: str, top: float, tol: float, parts: list[SubsetScan]
-) -> SubsetScan:
+def merge_subset_scans(objective: str, top: float, parts: list[SubsetScan]) -> SubsetScan:
     """One result from rank-ordered partials, keeping the ``top`` value groups."""
     keys = sorted({key for p in parts for key in p.by_key})
-    merge = partial(merge_subset_scans, objective, top, tol)
+    merge = partial(merge_subset_scans, objective, top)
     return SubsetScan(
         sum(p.checked for p in parts),
         sum(p.connected for p in parts),
         *_pool_top_groups(
             np.concatenate([p.vals for p in parts]),
             np.concatenate([p.ranks for p in parts]),
-            objective, top, tol,
+            objective, top,
         ),
         [f for p in parts for f in p.failures],
         {key: merge([p.by_key[key] for p in parts if key in p.by_key]) for key in keys},
     )
 
 
-def _kf_kernel(n, deleted, objective, top, tol, rank0, subs) -> SubsetScan:
+def _kf_kernel(n, deleted, objective, top, rank0, subs) -> SubsetScan:
     connected, kf = batch_kf(n, batch_eigenvalues(n, subs, deleted))
     idx = np.nonzero(connected)[0]
-    pooled = _pool_top_groups(kf[idx], rank0 + idx, objective, top, tol)
+    pooled = _pool_top_groups(kf[idx], rank0 + idx, objective, top)
     return SubsetScan(subs.shape[0], idx.size, *pooled)
 
 
 def scan_subsets(
-    n: int,
-    k: int,
-    deleted: bool,
-    objective: str,
-    top: int,
-    tol: float = 1e-7,
-    jobs: int = 1,
-    block: int = 1 << 15,
+    n: int, k: int, deleted: bool, objective: str, top: int, jobs: int = 1
 ) -> SubsetScan:
     """Pooled members of the ``top`` best Kf value groups over a subset space."""
     m = n * (n - 1) // 2
     return scan(
-        Blocks(math.comb(m, k), block, m, k),
-        partial(_kf_kernel, n, deleted, objective, top, tol),
-        partial(merge_subset_scans, objective, top, tol),
+        Blocks(math.comb(m, k), SUBSET_BLOCK, m, k),
+        partial(_kf_kernel, n, deleted, objective, top),
+        partial(merge_subset_scans, objective, top),
         jobs,
     )
 
 
-def _girth_kernel(n, tol, rank0, subs) -> SubsetScan:
+def _girth_kernel(n, rank0, subs) -> SubsetScan:
     connected, kf = batch_kf(n, batch_eigenvalues(n, subs, deleted=False))
     idx = np.nonzero(connected)[0]
     girth = batch_cycle_length(n, subs[idx])
     by_girth = {}
     for g in np.unique(girth):
         sel = idx[girth == g]
-        pooled = _pool_top_groups(kf[sel], rank0 + sel, "max", 1, tol)
+        pooled = _pool_top_groups(kf[sel], rank0 + sel, "max", 1)
         by_girth[int(g)] = SubsetScan(sel.size, sel.size, *pooled)
     return SubsetScan(subs.shape[0], idx.size, by_key=by_girth)
 
 
-def scan_unicyclic_by_girth(
-    n: int, tol: float = 1e-7, jobs: int = 1, block: int = 1 << 15
-) -> SubsetScan:
+def scan_unicyclic_by_girth(n: int, jobs: int = 1) -> SubsetScan:
     """Maximal Kf group per cycle length (``by_key``) over connected n-edge graphs on n vertices."""
     m = n * (n - 1) // 2
     return scan(
-        Blocks(math.comb(m, n), block, m, n),
-        partial(_girth_kernel, n, tol),
-        partial(merge_subset_scans, "max", 1, tol),
+        Blocks(math.comb(m, n), SUBSET_BLOCK, m, n),
+        partial(_girth_kernel, n),
+        partial(merge_subset_scans, "max", 1),
         jobs,
     )
 
@@ -457,6 +464,7 @@ def _merge_histograms(parts: list[TreeScan]) -> TreeScan:
     return TreeScan(sum(p.count for p in parts), sum(p.hist for p in parts), first_rank)
 
 
-def scan_labeled_trees(n: int, jobs: int = 1, block: int = 1 << 19) -> TreeScan:
+def scan_labeled_trees(n: int, jobs: int = 1) -> TreeScan:
     """Exact Wiener histogram over all labeled trees, with first-rank witnesses."""
-    return scan(Blocks(n ** (n - 2), block), partial(_wiener_kernel, n), _merge_histograms, jobs)
+    blocks = Blocks(n ** (n - 2), TREE_BLOCK)
+    return scan(blocks, partial(_wiener_kernel, n), _merge_histograms, jobs)

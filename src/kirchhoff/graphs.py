@@ -220,18 +220,16 @@ def shortest_paths(g: Graph, source: int) -> DistanceRow:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    """Degree sequence, max/min degree, and connectivity from one BFS sweep."""
-    degrees = tuple(g.adjacency_bits[v].bit_count() for v in range(g.n))
-    if g.n == 0:
-        return DegreeStats((), 0, 0, True)
-    connected = all(d is not None for d in shortest_paths(g, 0).dist)
-    return DegreeStats(degrees, max(degrees), min(degrees), connected)
+    """Degree sequence, max/min degree (0 without vertices), and connectivity."""
+    degrees = tuple(b.bit_count() for b in g.adjacency_bits)
+    return DegreeStats(
+        degrees, max(degrees, default=0), min(degrees, default=0), connected_components(g) <= 1
+    )
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return all(d is not None for d in shortest_paths(g, 0).dist)
+    """At most one connected component (the empty graph counts as connected)."""
+    return connected_components(g) <= 1
 
 
 def connected_components(g: Graph) -> int:

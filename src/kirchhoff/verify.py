@@ -9,9 +9,10 @@ isomorphism routine; where a witness must be matched against a named
 family, edge sets are compared under a relabeling found by backtracking
 permutation search (small n only).
 
-Floating Kf values are clustered with a relative tie tolerance of 1e-7;
-ties inside tree spaces are re-adjudicated exactly through the integer
-Wiener index, which equals the Kirchhoff index on trees.
+Floating Kf values are clustered by the enumeration module's tie rule
+(relative tolerance ``TIE_TOL``); ties inside tree spaces are re-adjudicated
+exactly through the integer Wiener index, which equals the Kirchhoff index
+on trees.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import enumeration as enum
 from .enumeration import (
     DEFAULT_BUDGET,
+    TIE_TOL,
     EnumerationSpec,
     cardinality,
     check_budget,
@@ -41,6 +43,7 @@ from .families import FamilySpec, build, closed_form_kf
 from .graphs import (
     Graph,
     complement,
+    connected_components,
     edit_edge,
     graph6_encode,
     is_connected,
@@ -56,7 +59,6 @@ from .spectral import (
     wiener,
 )
 
-TIE_TOL = 1e-7
 VALUE_TOL = 1e-9
 
 THEOREM_IDS = (
@@ -259,7 +261,7 @@ def bound_eval(n: int, p: int, g: Graph | None = None) -> BoundRecord:
             raise ParamOutOfRangeError(f"graph has {g.n} vertices, expected {n}")
         t = tree_count(g)
         if t == 0:
-            raise DisconnectedGraphError(2)
+            raise DisconnectedGraphError(connected_components(g))
         delta = min(g.degree(v) for v in range(n))
         base = Fraction(n - 1 - p) + Fraction(n, n - p - 1)
         full = base + Fraction((p - 1) * delta * n ** (n - p - 1) * (n - 1) ** (p - 2), t)
@@ -291,7 +293,7 @@ def check_identity(kind: str, **inputs) -> IdentityResult:
 
     Kinds: ``kf-edge-removal``, ``kf-edge-insertion``, ``spectrum-interlacing``,
     ``complement-spectrum``, ``wiener-dominates-kf``, ``cut-vertex-additivity``,
-    ``pendant-tree-vs-path``.  Strict inequalities demand a margin above 1e-7.
+    ``pendant-tree-vs-path``.  Strict inequalities demand a margin above TIE_TOL.
     """
     if kind == "kf-edge-removal":
         (g, edge) = _need(inputs, "graph", "edge")
@@ -378,24 +380,6 @@ def _graph_from_subset_rank(n: int, k: int, rank: int, deleted: bool) -> Graph:
     return make_graph(n, chosen)
 
 
-def _groups_from_pool(
-    vals: np.ndarray, ranks: np.ndarray, objective: str, top: int
-) -> list[tuple[float, np.ndarray]]:
-    """Cluster a candidate pool into value groups; return (lead value, ranks)."""
-    if vals.size == 0:
-        return []
-    sign = -1.0 if objective == "max" else 1.0
-    order = np.argsort(sign * vals, kind="stable")
-    ids = enum._cluster_groups(vals[order], TIE_TOL)
-    groups = []
-    for gid in range(min(top, int(ids[-1]) + 1)):
-        members = order[ids == gid]
-        member_ranks = np.sort(ranks[members])
-        lead = vals[members[np.argmin(ranks[members])]]
-        groups.append((float(lead), member_ranks))
-    return groups
-
-
 def extremal_search(
     spec: EnumerationSpec,
     objective: str,
@@ -426,8 +410,8 @@ def extremal_search(
             out.append(Witness(i, graph6_encode(g), float(w), int(scan.hist[w])))
         return out
     deleted = spec.mode == "deleted-edges"
-    scan = enum.scan_subsets(spec.n, spec.count, deleted, objective, k, TIE_TOL, jobs)
-    groups = _groups_from_pool(scan.vals, scan.ranks, objective, k)
+    scan = enum.scan_subsets(spec.n, spec.count, deleted, objective, k, jobs)
+    groups = enum.value_groups(scan.vals, scan.ranks, objective, k)
     out = []
     for i, (lead, member_ranks) in enumerate(groups, start=1):
         g = _graph_from_subset_rank(spec.n, spec.count, int(member_ranks[0]), deleted)
@@ -534,14 +518,14 @@ def _connected_deletions(
 
 
 def _scan_deleted(
-    n: int, p: int, budget: int, jobs: int, kernel, top: float = 1, block: int = 1 << 15
+    n: int, p: int, budget: int, jobs: int, kernel, top: float = 1, block: int = enum.SUBSET_BLOCK
 ) -> enum.SubsetScan:
     """``kernel`` over every p-edge deletion from K_n; pools keep the ``top`` maximal groups."""
     total = check_budget(enum.deleted_edges(n, p), budget)
     return enum.scan(
         enum.Blocks(total, block, n * (n - 1) // 2, p),
         kernel,
-        partial(enum.merge_subset_scans, "max", top, TIE_TOL),
+        partial(enum.merge_subset_scans, "max", top),
         jobs,
     )
 
@@ -553,8 +537,8 @@ def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
     report.checked_count = check_budget(spec, budget)
     bound = bound_eval(n, p).lower_kf
     bound_f = float(bound)
-    scan = enum.scan_subsets(n, p, True, "min", 1, TIE_TOL, jobs)
-    groups = _groups_from_pool(scan.vals, scan.ranks, "min", 1)
+    scan = enum.scan_subsets(n, p, True, "min", 1, jobs)
+    groups = enum.value_groups(scan.vals, scan.ranks, "min", 1)
     lead, member_ranks = groups[0]
     if abs(lead - bound_f) > VALUE_TOL * max(1.0, bound_f):
         report.fail("-", f"min Kf {format_real(lead)}", f"bound {format_exact(bound)}")
@@ -593,11 +577,11 @@ def _upper_bound_kernel(n: int, p: int, rank0: int, subs: np.ndarray) -> enum.Su
     the Kf of every connected row goes to the pool, which keeps the maximal group."""
     failures: list[Counterexample] = []
     vals, ranks = [], []
-    for rank, _, g in _connected_deletions(n, rank0, subs):
+    for rank, deleted, g in _connected_deletions(n, rank0, subs):
         kf = kf_spectral(g)
         rec = bound_eval(n, p, g)
         full_f = float(rec.upper_kf_full)
-        is_star = complement_shape(g) == ComplementShape("star", p)
+        is_star = _shape_of_edges(deleted) == ComplementShape("star", p)
         if kf > full_f + VALUE_TOL * max(1.0, full_f):
             failures.append(
                 _failure(g, f"Kf {format_real(kf)}", f"<= full bound {format_real(full_f)}")
@@ -704,7 +688,7 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
         raise ParamOutOfRangeError("min-ordering needs n >= 6 (all nine deletions defined)")
     report = VerificationReport("min-ordering", {"n": n})
     # every key keeps the Kf of each of its rows
-    scan = enum.merge_subset_scans("max", math.inf, TIE_TOL, [
+    scan = enum.merge_subset_scans("max", math.inf, [
         _scan_deleted(n, p, budget, jobs, partial(_min_ordering_kernel, n, p), math.inf, 1 << 14)
         for p in range(4)
     ])
@@ -897,7 +881,7 @@ def _verify_unicyclic_max(params, budget, jobs) -> VerificationReport:
         raise ParamOutOfRangeError(f"girths must lie in 3..{n}")
     report = VerificationReport("unicyclic-max", {"n": n, "girths": tuple(girths)})
     check_budget(enum.connected_with_edges(n, n), budget)
-    scan = enum.scan_unicyclic_by_girth(n, TIE_TOL, jobs)
+    scan = enum.scan_unicyclic_by_girth(n, jobs)
     by_girth = scan.by_key
     report.checked_count = scan.checked
     report.notes.append(f"{scan.connected} connected graphs with n edges")
@@ -909,7 +893,7 @@ def _verify_unicyclic_max(params, budget, jobs) -> VerificationReport:
         if k not in by_girth:
             report.fail("-", f"no connected graphs with cycle length {k}", "nonempty class")
             continue
-        groups = _groups_from_pool(by_girth[k].vals, by_girth[k].ranks, "max", 1)
+        groups = enum.value_groups(by_girth[k].vals, by_girth[k].ranks, "max", 1)
         lead, member_ranks = groups[0]
         _witness_family_check(
             report, rank_pos, lead, member_ranks, n, n,
@@ -924,10 +908,10 @@ def _verify_bicyclic_max(params, budget, jobs) -> VerificationReport:
         raise ParamOutOfRangeError("bicyclic maximum is stated for n >= 8")
     report = VerificationReport("bicyclic-max", {"n": n})
     check_budget(enum.connected_with_edges(n, n + 1), budget)
-    scan = enum.scan_subsets(n, n + 1, False, "max", 1, TIE_TOL, jobs)
+    scan = enum.scan_subsets(n, n + 1, False, "max", 1, jobs)
     report.checked_count = scan.checked
     report.notes.append(f"{scan.connected} connected graphs with n+1 edges")
-    groups = _groups_from_pool(scan.vals, scan.ranks, "max", 1)
+    groups = enum.value_groups(scan.vals, scan.ranks, "max", 1)
     lead, member_ranks = groups[0]
     _witness_family_check(
         report, 1, lead, member_ranks, n, n + 1,

@@ -138,6 +138,12 @@ class TestTableCommand:
         assert len(out.splitlines()) == 3  # header + n=7, n=8
         assert "skipping r3 at n=6" in err
 
+    def test_row_without_kf_skipped_with_warning(self, capsys):
+        code, out, err = run(capsys, "table", "--families", "path", "--n", "1..3")
+        assert code == 0
+        assert out.splitlines()[1:] == ["path,2,1,1,0", "path,3,4,4,0"]
+        assert "warning: skipping path at n=1: " in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "table", "--families", "nope", "--n", "5")
         assert code == 2 and "unknown table families" in err

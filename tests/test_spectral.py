@@ -2,9 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kirchhoff.enumeration import batch_eigenvalues, batch_kf, complete_edge_table
 from kirchhoff.families import FamilySpec, build
-from kirchhoff.graphs import combine, complement, edit_edge, make_graph
+from kirchhoff.graphs import (
+    combine,
+    complement,
+    connected_components,
+    edit_edge,
+    is_connected,
+    make_graph,
+)
 from kirchhoff.spectral import (
     DisconnectedGraphError,
     NoEdgesError,
@@ -219,3 +229,22 @@ class TestIdentities:
         assert (r >= -1e-12).all()
         for k in range(n):
             assert (r <= r[:, [k]] + r[[k], :] + 1e-10).all()
+
+
+class TestZeroThreshold:
+    """The one zero-eigenvalue threshold separates components on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(complete_edge_table(n))))
+        )
+    )
+    def test_zero_eigenvalues_count_components(self, case):
+        n, edges = case
+        g = make_graph(n, edges)
+        assert laplacian_spectrum(g).zero_multiplicity == connected_components(g)
+        table = complete_edge_table(n)
+        row = np.array([[table.index(e) for e in g.edges]], dtype=np.int64)
+        connected, _ = batch_kf(n, batch_eigenvalues(n, row, deleted=False))
+        assert bool(connected[0]) == is_connected(g)

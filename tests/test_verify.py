@@ -7,7 +7,7 @@ import pytest
 from kirchhoff.enumeration import deleted_edges, labeled_trees
 from kirchhoff.families import FamilySpec, build
 from kirchhoff.graphs import make_graph
-from kirchhoff.spectral import kf_spectral
+from kirchhoff.spectral import DisconnectedGraphError, kf_spectral
 from kirchhoff.verify import (
     ComplementShape,
     MalformedInputError,
@@ -61,6 +61,13 @@ class TestBoundEval:
         rec = bound_eval(6, 2, fam("kn-minus-matching", 6, 2))
         assert rec.upper_kf_full < rec.upper_kf_simple
         assert kf_spectral(fam("kn-minus-matching", 6, 2)) < float(rec.upper_kf_full)
+
+    def test_disconnected_graph_reports_its_components(self):
+        # triangles on 0-2 and 3-5, vertices 6 and 7 isolated
+        g = make_graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(DisconnectedGraphError) as err:
+            bound_eval(8, 2, g)
+        assert err.value.components == 4
 
     def test_param_range(self):
         with pytest.raises(ParamOutOfRangeError):
