@@ -8,13 +8,16 @@ quantified claims are safe to check with duplicates):
   the vertex alphabet (smallest-leaf decoding rule);
 * ``connected-with-edges``: every m-subset of E(K_n), filtered to connected.
 
-Cardinalities are computed up front and checked against a budget so large
-requests refuse gracefully.  The bulk kernels process subsets in blocks of
-a few tens of thousands through batched dense eigensolves.  One scan engine
-(:func:`scan`) runs every exhaustive scan: work splits into disjoint rank
-ranges, one per worker, and every block's partial result merges in rank
-order.  Every row is visited once for any worker count, but the block
-boundaries move with it; :func:`scan` says what that can change.
+An :class:`EnumerationSpec` is the only description of a space: the budget
+check, the scan's block walk and the member at a rank (:func:`member`) all
+derive from it.  Cardinalities are computed up front and checked against a
+budget so large requests refuse gracefully.  The bulk kernels process
+subsets in blocks of a few tens of thousands through batched dense
+eigensolves.  One scan engine (:func:`scan`) runs every exhaustive scan:
+work splits into disjoint rank ranges, one per worker, and every block's
+partial result merges in rank order.  Every row is visited once for any
+worker count, but the block boundaries move with it; :func:`scan` says
+what that can change.
 """
 
 from __future__ import annotations
@@ -24,18 +27,18 @@ import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, is_connected, make_graph
+from .graphs import Graph, complete_edge_table, is_connected, make_graph
 from .spectral import zero_tolerance
 
 DEFAULT_BUDGET = 10**8
 
-# The one tie rule: relative gap between sorted Kf values that starts a new value group.
+# The one tie rule (see tied): relative gap between two Kf values that makes them two values.
 TIE_TOL = 1e-7
-SUBSET_BLOCK, TREE_BLOCK = 1 << 15, 1 << 19  # rows (Prüfer ranks) per scan-kernel block
+TREE_BLOCK = 1 << 19  # Prüfer ranks per tree-kernel block
 
 
 class BudgetExceededError(ValueError):
@@ -93,11 +96,6 @@ def check_budget(spec: EnumerationSpec, budget: int = DEFAULT_BUDGET) -> int:
     return size
 
 
-def complete_edge_table(n: int) -> list[tuple[int, int]]:
-    """Edges of K_n in the fixed enumeration order (by u, then v)."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     """Tree for a vertex sequence of length n-2, by the smallest-leaf rule."""
     if len(seq) != n - 2:
@@ -143,6 +141,16 @@ def unrank_sequence(n: int, rank: int) -> tuple[int, ...]:
         power = n ** (n - 3 - j)
         seq.append(rank // power % n)
     return tuple(seq)
+
+
+def member(spec: EnumerationSpec, rank: int) -> Graph:
+    """The raw member at ``rank`` in the order the scans number it (possibly disconnected)."""
+    n = spec.n
+    if spec.mode == "labeled-trees":
+        return prufer_decode(unrank_sequence(n, rank), n)
+    table = complete_edge_table(n)
+    chosen = {table[i] for i in unrank_combination(len(table), spec.count, rank)}
+    return make_graph(n, set(table) - chosen if spec.mode == "deleted-edges" else chosen)
 
 
 def enumerate_space(
@@ -275,14 +283,18 @@ def wiener_block(n: int, start: int, stop: int) -> np.ndarray:
 # Value-group pooling
 
 
+def tied(a, b):
+    """The one tie rule: ``|a - b| <= TIE_TOL * max(1, |b|)``, elementwise on arrays."""
+    return np.abs(a - b) <= TIE_TOL * np.maximum(1.0, np.abs(b))
+
+
 def _sorted_groups(vals: np.ndarray, objective: str) -> tuple[np.ndarray, np.ndarray]:
     """(preference order of nonempty ``vals``, value-group id of each sorted value);
-    a group ends where consecutive sorted values differ by more than TIE_TOL relatively."""
+    a group ends where a sorted value is not tied with the one before it."""
     sign = -1.0 if objective == "max" else 1.0
     order = np.argsort(sign * vals, kind="stable")
     ordered = vals[order]
-    scale = np.maximum(1.0, np.abs(ordered[:-1]))
-    new_group = np.abs(np.diff(ordered)) > TIE_TOL * scale
+    new_group = ~tied(ordered[1:], ordered[:-1])
     return order, np.concatenate([[0], np.cumsum(new_group)])
 
 
@@ -318,46 +330,50 @@ def value_groups(
 # jobs and merges every block's partial in rank order.
 
 
-class Blocks(NamedTuple):
-    """The members [0, total) of a space in rank order, ``size`` ranks a block.
-
-    With ``k`` set the space is the k-subsets of range(m) and a block is its
-    (B, k) index rows from :func:`subset_blocks`; otherwise a block is its
-    stop rank, for kernels that decode ranks themselves (Prüfer codes).
-    """
-
-    total: int
-    size: int
-    m: int = 0
-    k: int | None = None
+def subset_block_rows(n: int) -> int:
+    """Rows per subset-kernel block: the largest power of two <= 2^15 whose
+    (rows, n, n) Laplacian stack has at most 3 * 2^20 entries, which keeps a
+    fork worker's peak memory from growing with n."""
+    rows = 1 << 15
+    while rows * n * n > 3 << 20:
+        rows >>= 1
+    return rows
 
 
 def _scan_worker(task) -> list:
-    """``kernel(first rank, block)`` for each block of one contiguous rank range."""
-    blocks, kernel, start, stop = task
-    if blocks.k is not None:
-        walk = subset_blocks(blocks.m, blocks.k, start, stop, blocks.size)
+    """``kernel(first rank, block)`` for each block of one contiguous rank range.
+
+    A subset block is its (B, k) index rows from :func:`subset_blocks`; a
+    tree block is its stop rank, for kernels that decode Prüfer ranks themselves.
+    """
+    spec, kernel, start, stop = task
+    if spec.mode == "labeled-trees":
+        walk = ((s, min(s + TREE_BLOCK, stop)) for s in range(start, stop, TREE_BLOCK))
     else:
-        walk = ((s, min(s + blocks.size, stop)) for s in range(start, stop, blocks.size))
+        m = spec.n * (spec.n - 1) // 2
+        walk = subset_blocks(m, spec.count, start, stop, subset_block_rows(spec.n))
     return [kernel(rank0, block) for rank0, block in walk]
 
 
-def scan(blocks: Blocks, kernel, merge, jobs: int = 1):
-    """``merge`` of every block's ``kernel(first rank, block)``, in rank order.
+def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFAULT_BUDGET):
+    """``merge`` of every block's ``kernel(first rank, block)`` over ``spec``, in rank order.
 
-    [0, total) splits into ``jobs`` contiguous ranges, run inline at jobs=1
-    and in a fork pool otherwise, where ``kernel`` must pickle (a
-    module-level function or a partial of one).  A range can start mid-block,
-    so block boundaries depend on ``jobs``; per-row values, counts, failures
-    and histograms do not.  Pooled value groups do when near-ties chain across
-    more than TIE_TOL, since a block missing a middle value splits the chain;
-    exact tie adjudication would remove that dependence.
+    A space larger than ``budget`` raises :class:`BudgetExceededError`
+    before any block runs.  Its ranks [0, total) split into ``jobs``
+    contiguous ranges, run inline at jobs=1 and in a fork pool otherwise,
+    where ``kernel`` must pickle (a module-level function or a partial of
+    one).  A range can start mid-block, so block boundaries depend on
+    ``jobs``; per-row values, counts, failures and histograms do not.
+    Pooled value groups do when near-ties chain across more than TIE_TOL,
+    since a block missing a middle value splits the chain; exact tie
+    adjudication would remove that dependence.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, blocks.total)
-    bounds = [blocks.total * i // jobs for i in range(jobs + 1)]
-    tasks = [(blocks, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
+    total = check_budget(spec, budget)
+    jobs = min(jobs, total)
+    bounds = [total * i // jobs for i in range(jobs + 1)]
+    tasks = [(spec, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
     if jobs == 1:
         return merge(_scan_worker(tasks[0]))
     with multiprocessing.get_context("fork").Pool(jobs) as pool:
@@ -399,46 +415,40 @@ def merge_subset_scans(objective: str, top: float, parts: list[SubsetScan]) -> S
     )
 
 
-def _kf_kernel(n, deleted, objective, top, rank0, subs) -> SubsetScan:
+def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
     connected, kf = batch_kf(n, batch_eigenvalues(n, subs, deleted))
     idx = np.nonzero(connected)[0]
-    pooled = _pool_top_groups(kf[idx], rank0 + idx, objective, top)
-    return SubsetScan(subs.shape[0], idx.size, *pooled)
+    if classify is None:
+        pooled = _pool_top_groups(kf[idx], rank0 + idx, objective, top)
+        return SubsetScan(subs.shape[0], idx.size, *pooled)
+    keys = classify(n, subs[idx])
+    by_key = {}
+    for key in np.unique(keys):
+        sel = idx[keys == key]
+        pooled = _pool_top_groups(kf[sel], rank0 + sel, objective, top)
+        by_key[int(key)] = SubsetScan(sel.size, sel.size, *pooled)
+    return SubsetScan(subs.shape[0], idx.size, by_key=by_key)
 
 
 def scan_subsets(
-    n: int, k: int, deleted: bool, objective: str, top: int, jobs: int = 1
+    spec: EnumerationSpec,
+    objective: str,
+    top: float,
+    jobs: int = 1,
+    budget: int = DEFAULT_BUDGET,
+    classify=None,
 ) -> SubsetScan:
-    """Pooled members of the ``top`` best Kf value groups over a subset space."""
-    m = n * (n - 1) // 2
+    """Pooled members of the ``top`` best Kf value groups over a subset space.
+
+    With ``classify(n, rows)``, which gives an integer key per connected
+    row, the pools are kept per key in ``by_key`` instead.
+    """
     return scan(
-        Blocks(math.comb(m, k), SUBSET_BLOCK, m, k),
-        partial(_kf_kernel, n, deleted, objective, top),
+        spec,
+        partial(_kf_kernel, spec.n, spec.mode == "deleted-edges", objective, top, classify),
         partial(merge_subset_scans, objective, top),
         jobs,
-    )
-
-
-def _girth_kernel(n, rank0, subs) -> SubsetScan:
-    connected, kf = batch_kf(n, batch_eigenvalues(n, subs, deleted=False))
-    idx = np.nonzero(connected)[0]
-    girth = batch_cycle_length(n, subs[idx])
-    by_girth = {}
-    for g in np.unique(girth):
-        sel = idx[girth == g]
-        pooled = _pool_top_groups(kf[sel], rank0 + sel, "max", 1)
-        by_girth[int(g)] = SubsetScan(sel.size, sel.size, *pooled)
-    return SubsetScan(subs.shape[0], idx.size, by_key=by_girth)
-
-
-def scan_unicyclic_by_girth(n: int, jobs: int = 1) -> SubsetScan:
-    """Maximal Kf group per cycle length (``by_key``) over connected n-edge graphs on n vertices."""
-    m = n * (n - 1) // 2
-    return scan(
-        Blocks(math.comb(m, n), SUBSET_BLOCK, m, n),
-        partial(_girth_kernel, n),
-        partial(merge_subset_scans, "max", 1),
-        jobs,
+        budget,
     )
 
 
@@ -464,7 +474,8 @@ def _merge_histograms(parts: list[TreeScan]) -> TreeScan:
     return TreeScan(sum(p.count for p in parts), sum(p.hist for p in parts), first_rank)
 
 
-def scan_labeled_trees(n: int, jobs: int = 1) -> TreeScan:
+def scan_labeled_trees(
+    spec: EnumerationSpec, jobs: int = 1, budget: int = DEFAULT_BUDGET
+) -> TreeScan:
     """Exact Wiener histogram over all labeled trees, with first-rank witnesses."""
-    blocks = Blocks(n ** (n - 2), TREE_BLOCK)
-    return scan(blocks, partial(_wiener_kernel, n), _merge_histograms, jobs)
+    return scan(spec, partial(_wiener_kernel, spec.n), _merge_histograms, jobs, budget)

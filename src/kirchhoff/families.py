@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, make_graph
+from .graphs import Graph, complement, complete_edge_table, make_graph
 
 
 class FamilyParameterError(ValueError):
@@ -247,7 +247,7 @@ def build(spec: FamilySpec) -> Graph:
         return make_graph(n, _path_edges(list(range(n))) + [(0, n - 1)])
     if kind == "complete":
         (n,) = spec.args
-        return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return make_graph(n, complete_edge_table(n))
     if kind == "star":
         (n,) = spec.args
         return make_graph(n, [(0, v) for v in range(1, n)])
@@ -316,22 +316,13 @@ def build(spec: FamilySpec) -> Graph:
         return make_graph(n, edges)
     if kind == "kn-minus-matching":
         n, p = spec.args
-        deleted = {(2 * i, 2 * i + 1) for i in range(p)}
-        return make_graph(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in deleted]
-        )
+        return complement(make_graph(n, [(2 * i, 2 * i + 1) for i in range(p)]))
     if kind == "kn-minus-star":
         n, p = spec.args
-        deleted = {(0, v) for v in range(1, p + 1)}
-        return make_graph(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in deleted]
-        )
+        return complement(make_graph(n, [(0, v) for v in range(1, p + 1)]))
     if kind == "gi":
         n, i = spec.args
-        deleted = set(_GI_PATTERNS[i])
-        return make_graph(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in deleted]
-        )
+        return complement(make_graph(n, _GI_PATTERNS[i]))
     raise _fail(spec, f"unknown family kind {kind!r}")
 
 
@@ -380,6 +371,8 @@ def closed_form_kf(spec: FamilySpec) -> Fraction | None:
         return _cubic(spec.args[0], -17, 36)
     if kind == "r3":
         return _cubic(spec.args[0], -23, 66)
+    if kind == "cq3":
+        return _cubic(spec.args[0], -25, 68)
     if kind == "starlike":
         n, branches = spec.args
         key = tuple(sorted(branches, reverse=True))

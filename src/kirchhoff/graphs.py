@@ -122,13 +122,15 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(sorted(seen)))
 
 
+def complete_edge_table(n: int) -> list[tuple[int, int]]:
+    """Edges of K_n in the fixed enumeration order (by u, then v)."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
     present = g.edge_set
-    edges = tuple(
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present
-    )
-    return Graph(g.n, edges)
+    return Graph(g.n, tuple(e for e in complete_edge_table(g.n) if e not in present))
 
 
 def edit_edge(g: Graph, pair: tuple[int, int], mode: str) -> Graph:

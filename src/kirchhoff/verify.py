@@ -9,8 +9,9 @@ isomorphism routine; where a witness must be matched against a named
 family, edge sets are compared under a relabeling found by backtracking
 permutation search (small n only).
 
-Floating Kf values are clustered by the enumeration module's tie rule
-(relative tolerance ``TIE_TOL``); ties inside tree spaces are re-adjudicated
+Floating Kf values are clustered, and floating strict inequalities decided,
+by the enumeration module's one tie rule (``tied``, relative tolerance
+``TIE_TOL``); ties inside tree spaces are re-adjudicated
 exactly through the integer Wiener index, which equals the Kirchhoff index
 on trees.
 """
@@ -30,19 +31,17 @@ import numpy as np
 from . import enumeration as enum
 from .enumeration import (
     DEFAULT_BUDGET,
-    TIE_TOL,
     EnumerationSpec,
     cardinality,
-    check_budget,
-    complete_edge_table,
+    member,
     prufer_decode,
-    unrank_combination,
-    unrank_sequence,
+    tied,
 )
 from .families import FamilySpec, build, closed_form_kf
 from .graphs import (
     Graph,
     complement,
+    complete_edge_table,
     connected_components,
     edit_edge,
     graph6_encode,
@@ -293,20 +292,25 @@ def check_identity(kind: str, **inputs) -> IdentityResult:
 
     Kinds: ``kf-edge-removal``, ``kf-edge-insertion``, ``spectrum-interlacing``,
     ``complement-spectrum``, ``wiener-dominates-kf``, ``cut-vertex-additivity``,
-    ``pendant-tree-vs-path``.  Strict inequalities demand a margin above TIE_TOL.
+    ``pendant-tree-vs-path``.  A strict inequality holds only when its two
+    sides are not tied under the one tie rule (``enumeration.tied``).
     """
     if kind == "kf-edge-removal":
         (g, edge) = _need(inputs, "graph", "edge")
         smaller = edit_edge(g, edge, "remove")
         if not is_connected(smaller):
             raise MalformedInputError(f"removing {edge} disconnects the graph")
-        margin = kf_spectral(smaller) - kf_spectral(g)
-        return IdentityResult(kind, margin > TIE_TOL, margin, f"Kf rise {margin:.3e}")
+        before, after = kf_spectral(g), kf_spectral(smaller)
+        margin = after - before
+        ok = after > before and not tied(after, before)
+        return IdentityResult(kind, ok, margin, f"Kf rise {margin:.3e}")
     if kind == "kf-edge-insertion":
         (g, edge) = _need(inputs, "graph", "edge")
         larger = edit_edge(g, edge, "add")
-        margin = kf_spectral(g) - kf_spectral(larger)
-        return IdentityResult(kind, margin > TIE_TOL, margin, f"Kf drop {margin:.3e}")
+        before, after = kf_spectral(g), kf_spectral(larger)
+        margin = before - after
+        ok = before > after and not tied(before, after)
+        return IdentityResult(kind, ok, margin, f"Kf drop {margin:.3e}")
     if kind == "spectrum-interlacing":
         (g, edge) = _need(inputs, "graph", "edge")
         larger = edit_edge(g, edge, "add")
@@ -331,7 +335,7 @@ def check_identity(kind: str, **inputs) -> IdentityResult:
         kf = kf_spectral(g)
         gap = w - kf
         is_tree = g.m == g.n - 1
-        tight = abs(gap) <= TIE_TOL * max(1.0, w)
+        tight = tied(kf, w)
         ok = gap >= -VALUE_TOL * max(1.0, w) and (tight == is_tree)
         return IdentityResult(kind, ok, gap, f"W-Kf gap {gap:.3e}, tree={is_tree}")
     if kind == "cut-vertex-additivity":
@@ -371,15 +375,6 @@ class Witness(NamedTuple):
     count: int
 
 
-def _graph_from_subset_rank(n: int, k: int, rank: int, deleted: bool) -> Graph:
-    table = complete_edge_table(n)
-    subset = unrank_combination(len(table), k, rank)
-    chosen = {table[i] for i in subset}
-    if deleted:
-        return make_graph(n, set(table) - chosen)
-    return make_graph(n, chosen)
-
-
 def extremal_search(
     spec: EnumerationSpec,
     objective: str,
@@ -399,24 +394,20 @@ def extremal_search(
         raise ParamOutOfRangeError("witness count must be >= 1")
     if jobs < 1:
         raise ParamOutOfRangeError(f"jobs must be >= 1, got {jobs}")
-    check_budget(spec, budget)
     if spec.mode == "labeled-trees":
-        scan = enum.scan_labeled_trees(spec.n, jobs=jobs)
-        values = [w for w in range(len(scan.hist)) if scan.hist[w] > 0]
-        values.sort(reverse=objective == "max")
-        out = []
-        for i, w in enumerate(values[:k], start=1):
-            g = prufer_decode(unrank_sequence(spec.n, scan.first_rank[w]), spec.n)
-            out.append(Witness(i, graph6_encode(g), float(w), int(scan.hist[w])))
-        return out
-    deleted = spec.mode == "deleted-edges"
-    scan = enum.scan_subsets(spec.n, spec.count, deleted, objective, k, jobs)
-    groups = enum.value_groups(scan.vals, scan.ranks, objective, k)
-    out = []
-    for i, (lead, member_ranks) in enumerate(groups, start=1):
-        g = _graph_from_subset_rank(spec.n, spec.count, int(member_ranks[0]), deleted)
-        out.append(Witness(i, graph6_encode(g), lead, int(member_ranks.size)))
-    return out
+        trees = enum.scan_labeled_trees(spec, jobs, budget)
+        values = sorted(map(int, np.flatnonzero(trees.hist)), reverse=objective == "max")[:k]
+        groups = [(float(w), trees.first_rank[w], int(trees.hist[w])) for w in values]
+    else:
+        scan = enum.scan_subsets(spec, objective, k, jobs, budget)
+        groups = [
+            (lead, int(ranks[0]), int(ranks.size))
+            for lead, ranks in enum.value_groups(scan.vals, scan.ranks, objective, k)
+        ]
+    return [
+        Witness(i, graph6_encode(member(spec, rank)), value, count)
+        for i, (value, rank, count) in enumerate(groups, start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +508,14 @@ def _connected_deletions(
             yield rank0 + row, deleted, g
 
 
-def _scan_deleted(
-    n: int, p: int, budget: int, jobs: int, kernel, top: float = 1, block: int = enum.SUBSET_BLOCK
-) -> enum.SubsetScan:
-    """``kernel`` over every p-edge deletion from K_n; pools keep the ``top`` maximal groups."""
-    total = check_budget(enum.deleted_edges(n, p), budget)
-    return enum.scan(
-        enum.Blocks(total, block, n * (n - 1) // 2, p),
-        kernel,
-        partial(enum.merge_subset_scans, "max", top),
-        jobs,
-    )
-
-
 def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("lower-bound", {"n": n, "p": p})
     spec = enum.deleted_edges(n, p)
-    report.checked_count = check_budget(spec, budget)
     bound = bound_eval(n, p).lower_kf
     bound_f = float(bound)
-    scan = enum.scan_subsets(n, p, True, "min", 1, jobs)
+    scan = enum.scan_subsets(spec, "min", 1, jobs, budget)
+    report.checked_count = scan.checked
     groups = enum.value_groups(scan.vals, scan.ranks, "min", 1)
     lead, member_ranks = groups[0]
     if abs(lead - bound_f) > VALUE_TOL * max(1.0, bound_f):
@@ -550,7 +528,7 @@ def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
             f"{expected_count} labeled {p}-matchings",
         )
     for rank in member_ranks:
-        g = _graph_from_subset_rank(n, p, int(rank), deleted=True)
+        g = member(spec, int(rank))
         shape = complement_shape(g)
         if shape != ComplementShape("matching", p):
             report.fail(
@@ -558,7 +536,7 @@ def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
                 f"complement {shape.kind}",
                 f"matching({p})",
             )
-    rep = _graph_from_subset_rank(n, p, int(member_ranks[0]), deleted=True)
+    rep = member(spec, int(member_ranks[0]))
     report.extremal_witnesses.append(
         Witness(1, graph6_encode(rep), lead, int(member_ranks.size))
     )
@@ -608,7 +586,10 @@ def _upper_bound_kernel(n: int, p: int, rank0: int, subs: np.ndarray) -> enum.Su
 def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("upper-bound", {"n": n, "p": p})
-    scan = _scan_deleted(n, p, budget, jobs, partial(_upper_bound_kernel, n, p))
+    spec = enum.deleted_edges(n, p)
+    kernel = partial(_upper_bound_kernel, n, p)
+    merge = partial(enum.merge_subset_scans, "max", 1)
+    scan = enum.scan(spec, kernel, merge, jobs, budget)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
     star = build(FamilySpec("kn-minus-star", (n, p)))
@@ -621,7 +602,7 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     if scan.ranks.size != expected:
         report.fail("-", f"{scan.ranks.size} maximizers", f"{expected} labeled stars")
     for rank in np.sort(scan.ranks):
-        g = _graph_from_subset_rank(n, p, int(rank), deleted=True)
+        g = member(spec, int(rank))
         shape = complement_shape(g)
         if shape != ComplementShape("star", p):
             report.fail(graph6_encode(g), f"complement {shape.kind}", f"star({p})")
@@ -658,7 +639,9 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("tree-count-bound", {"n": n, "p": p})
     bound = bound_eval(n, p).tree_count_lower
-    scan = _scan_deleted(n, p, budget, jobs, partial(_tree_count_kernel, n, p, bound))
+    kernel = partial(_tree_count_kernel, n, p, bound)
+    merge = partial(enum.merge_subset_scans, "max", 1)
+    scan = enum.scan(enum.deleted_edges(n, p), kernel, merge, jobs, budget)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
     equality_count = scan.ranks.size  # one value group: every row with t == bound
@@ -669,17 +652,10 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
-def _min_ordering_kernel(n: int, p: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
-    """Batched Kf of every connected row, split by its deletion-pattern key."""
-    connected, kf = enum.batch_kf(n, enum.batch_eigenvalues(n, subs, deleted=True))
+def _deletion_key(n: int, subs: np.ndarray) -> np.ndarray:
+    """Max degree and touched-vertex count of each row's deleted edges, as one integer."""
     deg = enum.batch_adjacency(n, subs, bool).sum(axis=2)
-    keys = deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
-    rows = np.nonzero(connected)[0]
-    by_key = {}
-    for key in np.unique(keys[rows]):
-        sel = rows[keys[rows] == key]
-        by_key[(p, int(key))] = enum.SubsetScan(sel.size, sel.size, kf[sel], rank0 + sel)
-    return enum.SubsetScan(subs.shape[0], rows.size, by_key=by_key)
+    return deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
 
 
 def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
@@ -687,31 +663,31 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
     if n < 6:
         raise ParamOutOfRangeError("min-ordering needs n >= 6 (all nine deletions defined)")
     report = VerificationReport("min-ordering", {"n": n})
-    # every key keeps the Kf of each of its rows
-    scan = enum.merge_subset_scans("max", math.inf, [
-        _scan_deleted(n, p, budget, jobs, partial(_min_ordering_kernel, n, p), math.inf, 1 << 14)
-        for p in range(4)
-    ])
-    # (p, max degree, touched vertices) tells the nine patterns apart at p <= 3,
-    # so one member classifies its key's rows; a wrong key shows as a Kf spread
+    # (p, deletion key) tells the nine patterns apart at p <= 3, so one member
+    # classifies its key's rows; a wrong key shows as a Kf spread.  Every key
+    # keeps the Kf of each of its rows.
     per_pattern = {}
-    for (p, _), rows in scan.by_key.items():
-        ranks = np.sort(rows.ranks)
-        first = _graph_from_subset_rank(n, p, int(ranks[0]), deleted=True)
-        pattern = _pattern_index(complement(first).edges)
-        if pattern is not None:
-            per_pattern[pattern] = rows.vals
-            continue
-        for rank in ranks:
-            g = _graph_from_subset_rank(n, p, int(rank), deleted=True)
-            report.fail(
-                graph6_encode(g), "unclassified deletion pattern", "one of the nine named patterns"
-            )
+    for p in range(4):
+        spec = enum.deleted_edges(n, p)
+        scan = enum.scan_subsets(spec, "max", math.inf, jobs, budget, classify=_deletion_key)
+        report.checked_count += scan.checked
+        for rows in scan.by_key.values():
+            ranks = np.sort(rows.ranks)
+            pattern = _pattern_index(complement(member(spec, int(ranks[0]))).edges)
+            if pattern is not None:
+                per_pattern[pattern] = rows.vals
+                continue
+            for rank in ranks:
+                report.fail(
+                    graph6_encode(member(spec, int(rank))),
+                    "unclassified deletion pattern",
+                    "one of the nine named patterns",
+                )
     values = {}
     for i in range(1, 10):
         vals = per_pattern[i]
         spread = float(vals.max() - vals.min())
-        if spread > TIE_TOL:
+        if not tied(vals.max(), vals.min()):
             report.fail("-", f"g{i} Kf spread {spread:.2e}", "identical across labelings")
         values[i] = float(vals.min())
         form = closed_form_kf(FamilySpec("gi", (n, i)))
@@ -722,13 +698,12 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
             Witness(i, graph6_encode(g), values[i], int(vals.size))
         )
     for i in range(1, 9):
-        if not values[i + 1] > values[i] + TIE_TOL:
+        if not (values[i + 1] > values[i] and not tied(values[i + 1], values[i])):
             report.fail(
                 "-",
                 f"Kf(g{i + 1})={format_real(values[i + 1])} vs Kf(g{i})={format_real(values[i])}",
                 f"Kf(g{i + 1}) > Kf(g{i}) strictly",
             )
-    report.checked_count = scan.checked
     report.notes.append(
         "every graph within three deletions realizes one of the nine named patterns"
     )
@@ -790,7 +765,7 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
             f"exhaustive saturation skipped: {size} trees exceed budget {budget}"
         )
     else:
-        scan = enum.scan_labeled_trees(n, jobs=jobs)
+        scan = enum.scan_labeled_trees(spec, jobs, budget)
         report.checked_count = scan.count
         if scan.count != size:
             report.fail("-", f"scanned {scan.count}", f"{size} labeled trees")
@@ -809,11 +784,7 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
             expected = named_hist.get(w, 0)
             if observed != expected:
                 rank = scan.first_rank.get(w)
-                g6 = (
-                    graph6_encode(prufer_decode(unrank_sequence(n, rank), n))
-                    if rank is not None
-                    else "-"
-                )
+                g6 = graph6_encode(member(spec, rank)) if rank is not None else "-"
                 report.fail(
                     g6,
                     f"{observed} trees at W={w}",
@@ -842,8 +813,7 @@ def _witness_family_check(
     rank: int,
     lead: float,
     member_ranks: np.ndarray,
-    n: int,
-    k: int,
+    spec: EnumerationSpec,
     family: FamilySpec,
     label: str,
 ) -> None:
@@ -851,7 +821,7 @@ def _witness_family_check(
     expected = closed_form_kf(family)
     expected_f = float(expected)
     model = build(family)
-    rep = _graph_from_subset_rank(n, k, int(member_ranks[0]), deleted=False)
+    rep = member(spec, int(member_ranks[0]))
     if abs(lead - expected_f) > VALUE_TOL * max(1.0, expected_f):
         report.fail(
             graph6_encode(rep),
@@ -865,7 +835,7 @@ def _witness_family_check(
             f"{member_ranks.size} maximizers",
             f"{expected_count} labelings of {label} (uniqueness)",
         )
-    if n <= 9 and not is_isomorphic(rep, model):
+    if spec.n <= 9 and not is_isomorphic(rep, model):
         report.fail(graph6_encode(rep), "maximizer shape", f"isomorphic to {label}")
     report.extremal_witnesses.append(
         Witness(rank, graph6_encode(rep), lead, int(member_ranks.size))
@@ -880,13 +850,13 @@ def _verify_unicyclic_max(params, budget, jobs) -> VerificationReport:
     if any(not 3 <= k <= n for k in girths):
         raise ParamOutOfRangeError(f"girths must lie in 3..{n}")
     report = VerificationReport("unicyclic-max", {"n": n, "girths": tuple(girths)})
-    check_budget(enum.connected_with_edges(n, n), budget)
-    scan = enum.scan_unicyclic_by_girth(n, jobs)
+    spec = enum.connected_with_edges(n, n)
+    scan = enum.scan_subsets(spec, "max", 1, jobs, budget, classify=enum.batch_cycle_length)
     by_girth = scan.by_key
     report.checked_count = scan.checked
     report.notes.append(f"{scan.connected} connected graphs with n edges")
     global_best = max(float(s.vals.max()) for s in by_girth.values())
-    if abs(global_best - float(by_girth[3].vals.max())) > TIE_TOL:
+    if not tied(global_best, float(by_girth[3].vals.max())):
         report.fail("-", f"overall max {format_real(global_best)} not at cycle length 3",
                     "overall maximizer has cycle length 3")
     for rank_pos, k in enumerate(sorted(set(girths)), start=1):
@@ -896,7 +866,7 @@ def _verify_unicyclic_max(params, budget, jobs) -> VerificationReport:
         groups = enum.value_groups(by_girth[k].vals, by_girth[k].ranks, "max", 1)
         lead, member_ranks = groups[0]
         _witness_family_check(
-            report, rank_pos, lead, member_ranks, n, n,
+            report, rank_pos, lead, member_ranks, spec,
             FamilySpec("lollipop", (n, k)), f"lollipop({n},{k})",
         )
     return report.finalize()
@@ -907,14 +877,14 @@ def _verify_bicyclic_max(params, budget, jobs) -> VerificationReport:
     if n < 8:
         raise ParamOutOfRangeError("bicyclic maximum is stated for n >= 8")
     report = VerificationReport("bicyclic-max", {"n": n})
-    check_budget(enum.connected_with_edges(n, n + 1), budget)
-    scan = enum.scan_subsets(n, n + 1, False, "max", 1, jobs)
+    spec = enum.connected_with_edges(n, n + 1)
+    scan = enum.scan_subsets(spec, "max", 1, jobs, budget)
     report.checked_count = scan.checked
     report.notes.append(f"{scan.connected} connected graphs with n+1 edges")
     groups = enum.value_groups(scan.vals, scan.ranks, "max", 1)
     lead, member_ranks = groups[0]
     _witness_family_check(
-        report, 1, lead, member_ranks, n, n + 1,
+        report, 1, lead, member_ranks, spec,
         FamilySpec("dumbbell", (3, 3, n - 5)), f"dumbbell(3,3,{n - 5})",
     )
     return report.finalize()
@@ -993,14 +963,13 @@ def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
         numeric = kf_spectral(g)
         checked += 1
         exact = closed_form_kf(spec)
-        if exact is not None and abs(numeric - float(exact)) > VALUE_TOL * max(1.0, float(exact)):
+        if abs(numeric - float(exact)) > VALUE_TOL * max(1.0, float(exact)):
             report.fail(
                 graph6_encode(g),
                 f"{label} numeric {format_real(numeric)}",
                 f"closed form {format_exact(exact)}",
             )
-        below = exact < ceiling if exact is not None else numeric < float(ceiling) - TIE_TOL
-        if not below:
+        if not exact < ceiling:
             report.fail(
                 graph6_encode(g),
                 f"Kf({label})={format_real(numeric)}",
@@ -1052,7 +1021,7 @@ def _verify_edge_trim(params, budget, jobs) -> VerificationReport:
             nxt = edit_edge(current, edge, "remove")
             nxt_kf = kf_spectral(nxt)
             checked += 1
-            if not nxt_kf > kf + TIE_TOL:
+            if not (nxt_kf > kf and not tied(nxt_kf, kf)):
                 report.fail(
                     graph6_encode(current),
                     f"Kf {format_real(kf)} -> {format_real(nxt_kf)} removing {edge}",

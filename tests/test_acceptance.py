@@ -126,6 +126,7 @@ def _catalog_instances(max_n=40):
         if n >= 7:
             out.append(FamilySpec("starlike", (n, tuple(sorted((n - 6, 4, 1), reverse=True)))))
             out.append(FamilySpec("r3", (n,)))
+            out.append(FamilySpec("cq3", (n,)))
         if n >= 8:
             out.append(FamilySpec("doublebranch", (n, (1, 1), (2, 1))))
         for p in range(1, n // 2 + 1):

@@ -5,8 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import kirchhoff.enumeration as enum
 from kirchhoff.enumeration import (
     BudgetExceededError,
+    batch_cycle_length,
     batch_eigenvalues,
     batch_kf,
     cardinality,
@@ -16,10 +18,11 @@ from kirchhoff.enumeration import (
     deleted_edges,
     enumerate_space,
     labeled_trees,
+    member,
     prufer_decode,
     scan_labeled_trees,
     scan_subsets,
-    scan_unicyclic_by_girth,
+    subset_block_rows,
     subset_blocks,
     unrank_combination,
     unrank_sequence,
@@ -43,6 +46,20 @@ class TestCardinalityAndBudget:
         with pytest.raises(BudgetExceededError) as err:
             check_budget(deleted_edges(40, 20))
         assert err.value.cardinality == math.comb(780, 20)
+
+    def test_scans_refuse_before_scanning(self, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(enum, "_scan_worker", no_block)
+        with pytest.raises(BudgetExceededError):
+            scan_subsets(deleted_edges(40, 20), "max", 1)
+        with pytest.raises(BudgetExceededError):
+            scan_labeled_trees(labeled_trees(12))
+
+    def test_subset_block_rows_from_n(self):
+        assert [subset_block_rows(n) for n in range(2, 10)] == [1 << 15] * 8
+        assert [subset_block_rows(n) for n in range(10, 14)] == [1 << 14] * 4
 
     def test_budget_boundary_allows_equality(self):
         spec = deleted_edges(5, 2)
@@ -84,6 +101,16 @@ class TestUnranking:
         assert tuple(rows[0]) == unrank_combination(10, 4, 30)
 
 
+class TestMember:
+    def test_member_at_each_rank_is_the_streamed_member(self):
+        for spec in (deleted_edges(5, 2), labeled_trees(5)):
+            members = [member(spec, r) for r in range(cardinality(spec))]
+            assert members == list(enumerate_space(spec))
+        spec = connected_with_edges(5, 5)
+        members = [member(spec, r) for r in range(cardinality(spec))]
+        assert [g for g in members if is_connected(g)] == list(enumerate_space(spec))
+
+
 class TestPrufer:
     def test_decode_star_and_path(self):
         assert prufer_decode((0, 0), 4).edges == ((0, 1), (0, 2), (0, 3))
@@ -109,13 +136,13 @@ class TestBulkKernels:
                 assert abs(kf[row] - kf_spectral(g)) < 1e-9
 
     def test_wiener_scan_matches_streamed_trees(self):
-        scan = scan_labeled_trees(6)
+        scan = scan_labeled_trees(labeled_trees(6))
         by_value = Counter(wiener(t) for t in enumerate_space(labeled_trees(6)))
         assert scan.count == 6**4
         assert {w: int(c) for w, c in enumerate(scan.hist) if c} == dict(by_value)
 
     def test_wiener_scan_first_rank_witnesses(self):
-        scan = scan_labeled_trees(5)
+        scan = scan_labeled_trees(labeled_trees(5))
         for w, rank in scan.first_rank.items():
             tree = prufer_decode(unrank_sequence(5, rank), 5)
             assert wiener(tree) == w
@@ -127,22 +154,22 @@ class TestBulkKernels:
             for sub in combinations(table, 6)
             if is_connected(make_graph(6, sub))
         ]
-        scan = scan_subsets(6, 6, deleted=False, objective="max", top=1)
+        scan = scan_subsets(connected_with_edges(6, 6), objective="max", top=1)
         assert abs(scan.vals.max() - max(vals)) < 1e-9
         assert scan.connected == len(vals)
 
     def test_scan_jobs_do_not_change_results(self):
-        one = scan_subsets(6, 6, deleted=False, objective="max", top=2, jobs=1)
-        two = scan_subsets(6, 6, deleted=False, objective="max", top=2, jobs=2)
+        one = scan_subsets(connected_with_edges(6, 6), objective="max", top=2, jobs=1)
+        two = scan_subsets(connected_with_edges(6, 6), objective="max", top=2, jobs=2)
         assert one.checked == two.checked and one.connected == two.connected
         assert sorted(one.ranks) == sorted(two.ranks)
-        t_one = scan_labeled_trees(6, jobs=1)
-        t_two = scan_labeled_trees(6, jobs=2)
+        t_one = scan_labeled_trees(labeled_trees(6), jobs=1)
+        t_two = scan_labeled_trees(labeled_trees(6), jobs=2)
         assert (t_one.hist == t_two.hist).all()
         assert t_one.first_rank == t_two.first_rank
 
     def test_unicyclic_girth_split(self):
-        scan = scan_unicyclic_by_girth(6)
+        scan = scan_subsets(connected_with_edges(6, 6), "max", 1, classify=batch_cycle_length)
         by_girth = scan.by_key
         assert scan.checked == math.comb(15, 6)
         assert set(by_girth) == {3, 4, 5, 6}

@@ -136,7 +136,6 @@ class TestClosedFormKf:
         assert kf_exact("starlike", 9, (3, 3, 2)) is None
         assert kf_exact("tripath3", 9, (3, 2, 1)) is None
         assert kf_exact("dumbbell", 3, 4, 2) is None
-        assert kf_exact("cq3", 9) is None
         for i in (6, 7, 8):
             assert kf_exact("gi", 12, i) is None
 
@@ -184,6 +183,8 @@ class TestClosedFormKf:
         for n in (8, 12, 20):
             numeric = kf_spectral(build(FamilySpec("cq3", (n,))))
             assert abs(numeric - (n**3 - 25 * n + 68) / 6) < 1e-8
+        for n in range(7, 19):
+            assert kf_exact("cq3", n) == Fraction(n**3 - 25 * n + 68, 6)
 
     def test_tripath_order_insensitive(self):
         assert kf_exact("tripath", 9, (1, 5)) == kf_exact("tripath", 9, (5, 1))

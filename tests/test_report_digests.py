@@ -1,9 +1,10 @@
 """The benchmark's verdicts keep their exit codes and report bodies byte for byte.
 
 Every verdict in ``perfbench/expected.json`` that finishes within about
-1.5 s at ``--jobs 2`` runs through the CLI here; its exit code and the
-sha256 of its report without the ``elapsed_seconds:`` footer must match
-the recorded ones.  The file is only read.
+1.5 s at ``--jobs 2`` runs through the CLI here, in the fork pool at
+``--jobs 2`` and inline at ``--jobs 1``; its exit code and the sha256 of its
+report without the ``elapsed_seconds:`` footer must match the recorded ones.
+The file is only read.
 """
 
 import hashlib
@@ -33,9 +34,17 @@ def body_digest(report: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("verdict", sorted(set(EXPECTED) - SLOW))
-def test_report_body_digest(verdict, capsys):
-    code = main(verdict.split() + ["--jobs", "2"])
+# the --jobs 2 case of a verdict is named by its expected.json key alone
+CASES = [
+    pytest.param(verdict, jobs, id=verdict if jobs == 2 else f"{verdict} --jobs 1")
+    for verdict in sorted(set(EXPECTED) - SLOW)
+    for jobs in (2, 1)
+]
+
+
+@pytest.mark.parametrize("verdict, jobs", CASES)
+def test_report_body_digest(verdict, jobs, capsys):
+    code = main(verdict.split() + ["--jobs", str(jobs)])
     report = capsys.readouterr().out
     assert code == EXPECTED[verdict]["exit"]
     assert body_digest(report) == EXPECTED[verdict]["sha256"]
