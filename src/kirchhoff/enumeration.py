@@ -10,13 +10,14 @@ quantified claims are safe to check with duplicates):
 
 An :class:`EnumerationSpec` is the only description of a space: the budget
 check, the scan's block walk and the member at a rank (:func:`member`) all
-derive from it.  Cardinalities are computed up front and checked against a
-budget so large requests refuse gracefully.  The bulk kernels process
-subsets in blocks of a few tens of thousands through batched dense
-eigensolves.  One scan engine (:func:`scan`) runs every exhaustive scan:
-work splits into disjoint rank ranges, one per worker, and every block's
-partial result merges in rank order.  Every row is visited once for any
-worker count, but the block boundaries move with it; :func:`scan` says
+derive from it.  Cardinalities are checked against a budget up front, so
+large requests refuse gracefully.  The subset Kf kernel unranks blocks of
+up to 2^15 rows at once and eigensolves only their connected rows, found by
+an exact bitmask test (:func:`batch_connected`; ``graphs.connected_components``
+tests one graph).  One scan engine (:func:`scan`) runs every exhaustive
+scan: work splits into disjoint rank ranges, one per worker, and every
+block's partial result merges in rank order.  Every row is visited once for
+any worker count, but the block boundaries move with it; :func:`scan` says
 what that can change.
 """
 
@@ -25,8 +26,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import combinations, islice
+from functools import lru_cache, partial
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -80,12 +81,10 @@ def connected_with_edges(n: int, m: int) -> EnumerationSpec:
 def cardinality(spec: EnumerationSpec) -> int:
     """Exact number of raw members (before any connectivity filtering)."""
     full = spec.n * (spec.n - 1) // 2
-    if spec.mode == "deleted-edges":
+    if spec.mode in ("deleted-edges", "connected-with-edges"):
         return math.comb(full, spec.count)
     if spec.mode == "labeled-trees":
         return spec.n ** (spec.n - 2)
-    if spec.mode == "connected-with-edges":
-        return math.comb(full, spec.count)
     raise ValueError(f"unknown enumeration mode {spec.mode!r}")
 
 
@@ -183,25 +182,73 @@ def enumerate_space(
 # Bulk kernels
 
 
+@lru_cache(maxsize=None)
+def _colex_binomials(m: int, k: int) -> np.ndarray:
+    """(k+1, m) table of C(t, i) for slot i and element t, capped at the int64 maximum."""
+    cap = np.iinfo(np.int64).max
+    return np.array([[min(math.comb(t, i), cap) for t in range(m)] for i in range(k + 1)], dtype=np.int64)
+
+
 def subset_blocks(
     m: int, k: int, start: int, stop: int, block: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first rank, (B,k) index array) over lexicographic k-subsets."""
-    it = islice(combinations(range(m), k), start, stop)
-    rank = start
+    """Yield (first rank, (B,k) index array) over lexicographic k-subsets.
+
+    Lex rank r of S is colex rank C(m,k)-1-r of {m-1-x : x in S}, so each
+    block unranks all its rows at once, one ``searchsorted`` per slot.
+    """
+    total = math.comb(m, k)
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"C({m},{k}) = {total} subsets do not fit int64 ranks")
+    table = _colex_binomials(m, k)
+    for rank in range(start, min(stop, total), block):
+        colex = total - 1 - np.arange(rank, min(rank + block, stop, total), dtype=np.int64)
+        rows = np.empty((colex.size, k), dtype=np.int64)
+        for i in range(k, 0, -1):
+            t = np.searchsorted(table[i], colex, side="right") - 1
+            colex -= table[i, t]
+            rows[:, k - i] = m - 1 - t
+        yield rank, rows
+
+
+@lru_cache(maxsize=None)
+def _edge_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (u, v) of E(K_n) in table order."""
+    return tuple(np.array(complete_edge_table(n), dtype=np.int64).reshape(-1, 2).T)
+
+
+@lru_cache(maxsize=None)
+def _edge_bits(n: int) -> np.ndarray:
+    """(n, m) int64: column e holds edge e's bit in each vertex's neighbour bitmask."""
+    eu, ev = _edge_endpoints(n)
+    bits = np.zeros((n, eu.size), dtype=np.int64)
+    bits[eu, np.arange(eu.size)] = np.left_shift(1, ev)
+    bits[ev, np.arange(eu.size)] = np.left_shift(1, eu)
+    return bits
+
+
+def batch_connected(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
+    """Exact connectivity of each subset row's graph (n <= 62, one int64 bitmask per vertex).
+
+    The set reached from vertex 0 grows by the neighbours of its members,
+    one sweep over the vertices at a time, until no row changes.
+    """
+    bits = _edge_bits(n)
+    masks = np.take(bits, subsets.T, axis=1).sum(axis=1)  # (n, B)
+    if deleted:
+        masks = bits.sum(axis=1)[:, None] - masks
+    reach = np.ones(subsets.shape[0], dtype=np.int64)
     while True:
-        chunk = list(islice(it, block))
-        if not chunk:
-            return
-        yield rank, np.asarray(chunk, dtype=np.int64)
-        rank += len(chunk)
+        before = reach.copy()
+        for v in range(n):
+            reach |= masks[v] & -((reach >> v) & 1)
+        if np.array_equal(before, reach):
+            return reach == (1 << n) - 1
 
 
 def batch_adjacency(n: int, subsets: np.ndarray, dtype) -> np.ndarray:
     """(B, n, n) adjacency matrices of the graphs whose edges the subset rows select."""
-    table = complete_edge_table(n)
-    eu = np.array([e[0] for e in table])
-    ev = np.array([e[1] for e in table])
+    eu, ev = _edge_endpoints(n)
     A = np.zeros((subsets.shape[0], n, n), dtype=dtype)
     rows = np.arange(subsets.shape[0])[:, None]
     A[rows, eu[subsets], ev[subsets]] = 1
@@ -213,15 +260,18 @@ def batch_eigenvalues(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
     """Ascending Laplacian eigenvalues for each subset row.
 
     Rows select edges of K_n by index; ``deleted`` interprets the subset as
-    removed from K_n rather than as the edge set itself.
+    removed from K_n rather than as the edge set itself.  Off-diagonal zeros
+    are -0.0, as -A gives: LAPACK's Householder step reads the sign of zero.
     """
-    A = batch_adjacency(n, subsets, float)
-    if deleted:
-        A = (1.0 - np.eye(n)) - A
-    deg = A.sum(axis=2)
-    L = -A
+    eu, ev = _edge_endpoints(n)
+    B = subsets.shape[0]
+    u, v = eu[subsets], ev[subsets]
+    rows = np.arange(B)[:, None]
+    deg = np.bincount((np.hstack([u, v]) + n * rows).ravel(), minlength=B * n).reshape(B, n)
+    L = np.full((B, n, n), -1.0 if deleted else -0.0)
+    L[rows, u, v] = L[rows, v, u] = -0.0 if deleted else -1.0
     diag = np.arange(n)
-    L[:, diag, diag] = deg
+    L[:, diag, diag] = n - 1 - deg if deleted else deg
     return np.linalg.eigvalsh(L)
 
 
@@ -301,8 +351,8 @@ def _sorted_groups(vals: np.ndarray, objective: str) -> tuple[np.ndarray, np.nda
 def _pool_top_groups(
     vals: np.ndarray, ranks: np.ndarray, objective: str, top: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep every member of the first ``top`` value groups."""
-    if vals.size == 0:
+    """Keep every member of the first ``top`` value groups (every row, unsorted, if infinite)."""
+    if vals.size == 0 or top == math.inf:
         return vals, ranks
     order, groups = _sorted_groups(vals, objective)
     keep = order[groups < top]
@@ -416,16 +466,16 @@ def merge_subset_scans(objective: str, top: float, parts: list[SubsetScan]) -> S
 
 
 def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
-    connected, kf = batch_kf(n, batch_eigenvalues(n, subs, deleted))
-    idx = np.nonzero(connected)[0]
+    idx = np.flatnonzero(batch_connected(n, subs, deleted))
+    _, kf = batch_kf(n, batch_eigenvalues(n, subs[idx], deleted))
     if classify is None:
-        pooled = _pool_top_groups(kf[idx], rank0 + idx, objective, top)
+        pooled = _pool_top_groups(kf, rank0 + idx, objective, top)
         return SubsetScan(subs.shape[0], idx.size, *pooled)
     keys = classify(n, subs[idx])
     by_key = {}
     for key in np.unique(keys):
-        sel = idx[keys == key]
-        pooled = _pool_top_groups(kf[sel], rank0 + sel, objective, top)
+        sel = np.flatnonzero(keys == key)
+        pooled = _pool_top_groups(kf[sel], rank0 + idx[sel], objective, top)
         by_key[int(key)] = SubsetScan(sel.size, sel.size, *pooled)
     return SubsetScan(subs.shape[0], idx.size, by_key=by_key)
 

@@ -1,13 +1,16 @@
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kirchhoff.enumeration as enum
 from kirchhoff.enumeration import (
     BudgetExceededError,
+    batch_adjacency,
     batch_cycle_length,
     batch_eigenvalues,
     batch_kf,
@@ -100,6 +103,32 @@ class TestUnranking:
         assert rows.shape == (120, 4)
         assert tuple(rows[0]) == unrank_combination(10, 4, 30)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda m: st.tuples(
+                st.just(m), st.integers(0, m), st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50)
+            )
+        )
+    )
+    @example((12, 0, 0, 5, 3))
+    @example((12, 12, 0, 5, 3))
+    @example((12, 5, 37, 700, 64))
+    @example((78, 76, 1000, 40, 16))  # C(77, 38) overflows int64; C(78, 76) does not
+    def test_subset_blocks_are_chunked_combinations(self, case):
+        m, k, start, length, block = case
+        stop = start + length
+        expected = list(islice(combinations(range(m), k), start, stop))
+        blocks = list(subset_blocks(m, k, start, stop, block))
+        assert [r for r, _ in blocks] == list(range(start, start + len(expected), block))
+        assert all(rows.shape == (min(block, start + len(expected) - r), k) for r, rows in blocks)
+        got = [tuple(int(x) for x in row) for _, rows in blocks for row in rows]
+        assert got == expected
+
+    def test_subset_ranks_beyond_int64_refused(self):
+        with pytest.raises(ValueError, match=r"C\(200,100\)"):
+            next(subset_blocks(200, 100, 0, 1, 1))
+
 
 class TestMember:
     def test_member_at_each_rank_is_the_streamed_member(self):
@@ -134,6 +163,20 @@ class TestBulkKernels:
             assert conn[row] == is_connected(g)
             if conn[row]:
                 assert abs(kf[row] - kf_spectral(g)) < 1e-9
+
+    @pytest.mark.parametrize("n,k,deleted", [(6, 6, False), (7, 8, False), (7, 3, True), (8, 0, True)])
+    def test_batch_eigenvalues_bitwise_as_negated_adjacency(self, n, k, deleted):
+        # reference assembly: L = -A with the degrees on the diagonal, so every
+        # off-diagonal zero is -0.0; LAPACK reads that sign into Kf's last bits
+        subs = np.array(list(islice(combinations(range(n * (n - 1) // 2), k), 6000)), dtype=np.int64)
+        A = batch_adjacency(n, subs, float)
+        if deleted:
+            A = (1.0 - np.eye(n)) - A
+        deg = A.sum(axis=2)
+        L = -A
+        L[:, range(n), range(n)] = deg
+        reference = np.linalg.eigvalsh(L)
+        assert (batch_eigenvalues(n, subs, deleted).view(np.int64) == reference.view(np.int64)).all()
 
     def test_wiener_scan_matches_streamed_trees(self):
         scan = scan_labeled_trees(labeled_trees(6))

@@ -2,10 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kirchhoff.enumeration import batch_eigenvalues, batch_kf, complete_edge_table
+from kirchhoff.enumeration import batch_connected, batch_eigenvalues, batch_kf, complete_edge_table
 from kirchhoff.families import FamilySpec, build
 from kirchhoff.graphs import (
     combine,
@@ -248,3 +248,34 @@ class TestZeroThreshold:
         row = np.array([[table.index(e) for e in g.edges]], dtype=np.int64)
         connected, _ = batch_kf(n, batch_eigenvalues(n, row, deleted=False))
         assert bool(connected[0]) == is_connected(g)
+
+
+def _subset_rows(n):
+    """(n, deleted, rows): rows of k edge indices of K_n, k the same for every row."""
+    m = n * (n - 1) // 2
+    return st.tuples(st.booleans(), st.integers(0, m)).flatmap(
+        lambda dk: st.tuples(
+            st.just(n),
+            st.just(dk[0]),
+            st.lists(st.permutations(range(m)).map(lambda p: sorted(p[: dk[1]])), min_size=1, max_size=8),
+        )
+    )
+
+
+class TestBatchConnectivity:
+    """The exact bitmask filter that decides which rows reach the eigensolver."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9).flatmap(_subset_rows))
+    @example((6, True, [[]]))
+    @example((6, False, [[]]))
+    @example((2, True, [[0]]))
+    def test_matches_graph_connectivity_and_eigen_mask(self, case):
+        n, deleted, rows = case
+        subs = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))
+        table = complete_edge_table(n)
+        graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
+        mask = batch_connected(n, subs, deleted)
+        assert mask.tolist() == [is_connected(g) for g in graphs]
+        eigen_mask, _ = batch_kf(n, batch_eigenvalues(n, subs, deleted))
+        assert (mask == eigen_mask).all()
