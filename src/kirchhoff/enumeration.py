@@ -11,10 +11,12 @@ quantified claims are safe to check with duplicates):
 An :class:`EnumerationSpec` is the only description of a space: the budget
 check, the scan's block walk and the member at a rank (:func:`member`) all
 derive from it.  Cardinalities are checked against a budget up front, so
-large requests refuse gracefully.  The subset Kf kernel unranks blocks of
-up to 2^15 rows at once and eigensolves only their connected rows, found by
-an exact bitmask test (:func:`batch_connected`; ``graphs.connected_components``
-tests one graph).  One scan engine (:func:`scan`) runs every exhaustive
+large requests refuse gracefully.  One unranker (:func:`unrank_rows`) gives
+both a scan block's subset rows and the row behind a member, and one map
+(:func:`row_graph`) turns a row into its graph.  The subset Kf kernel
+unranks blocks of up to 2^15 rows at once and eigensolves only their
+connected rows, found by an exact bitmask test (:func:`batch_connected`;
+``graphs.connected_components`` tests one graph).  One scan engine (:func:`scan`) runs every exhaustive
 scan: work splits into disjoint rank ranges, one per worker, and every
 block's partial result merges in rank order.  Every row is visited once for
 any worker count, but the block boundaries move with it; :func:`scan` says
@@ -27,7 +29,6 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -115,24 +116,6 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     return make_graph(n, edges)
 
 
-def unrank_combination(m: int, k: int, rank: int) -> tuple[int, ...]:
-    """The lexicographically rank-th k-subset of range(m)."""
-    if not 0 <= rank < math.comb(m, k):
-        raise ValueError(f"rank {rank} outside [0, C({m},{k}))")
-    out = []
-    x = 0
-    for slot in range(k, 0, -1):
-        while True:
-            block = math.comb(m - x - 1, slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
-
-
 def unrank_sequence(n: int, rank: int) -> tuple[int, ...]:
     """The rank-th length-(n-2) sequence over range(n), most significant first."""
     seq = []
@@ -144,38 +127,39 @@ def unrank_sequence(n: int, rank: int) -> tuple[int, ...]:
 
 def member(spec: EnumerationSpec, rank: int) -> Graph:
     """The raw member at ``rank`` in the order the scans number it (possibly disconnected)."""
+    total = cardinality(spec)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} outside [0, {total})")
     n = spec.n
     if spec.mode == "labeled-trees":
         return prufer_decode(unrank_sequence(n, rank), n)
-    table = complete_edge_table(n)
-    chosen = {table[i] for i in unrank_combination(len(table), spec.count, rank)}
-    return make_graph(n, set(table) - chosen if spec.mode == "deleted-edges" else chosen)
+    return row_graph(spec, unrank_rows(n * (n - 1) // 2, spec.count, [rank])[0].tolist())
+
+
+def row_graph(spec: EnumerationSpec, row: list[int]) -> Graph:
+    """The graph a subset row stands for: the edges of K_n it selects, or in
+    ``deleted-edges`` mode the edges it leaves."""
+    table = complete_edge_table(spec.n)
+    chosen = {table[i] for i in row}
+    return make_graph(spec.n, set(table) - chosen if spec.mode == "deleted-edges" else chosen)
 
 
 def enumerate_space(
     spec: EnumerationSpec, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Graph]:
-    """Stream every member of the space exactly once (labeled objects)."""
-    check_budget(spec, budget)
+    """Stream every member of the space exactly once, in rank order (labeled
+    objects; ``connected-with-edges`` streams only its connected members)."""
+    total = check_budget(spec, budget)
     n = spec.n
     if spec.mode == "labeled-trees":
-        total = n ** (n - 2)
         for rank in range(total):
             yield prufer_decode(unrank_sequence(n, rank), n)
         return
-    table = complete_edge_table(n)
-    full = frozenset(table)
-    if spec.mode == "deleted-edges":
-        for subset in combinations(table, spec.count):
-            yield make_graph(n, full - set(subset))
-        return
-    if spec.mode == "connected-with-edges":
-        for subset in combinations(table, spec.count):
-            g = make_graph(n, subset)
-            if is_connected(g):
+    for _, rows in subset_blocks(n * (n - 1) // 2, spec.count, 0, total, subset_block_rows(n)):
+        for row in rows.tolist():
+            g = row_graph(spec, row)
+            if spec.mode == "deleted-edges" or is_connected(g):
                 yield g
-        return
-    raise ValueError(f"unknown enumeration mode {spec.mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +173,33 @@ def _colex_binomials(m: int, k: int) -> np.ndarray:
     return np.array([[min(math.comb(t, i), cap) for t in range(m)] for i in range(k + 1)], dtype=np.int64)
 
 
-def subset_blocks(
-    m: int, k: int, start: int, stop: int, block: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first rank, (B,k) index array) over lexicographic k-subsets.
+def unrank_rows(m: int, k: int, ranks) -> np.ndarray:
+    """(B, k) index array: the lexicographically rank-th k-subset of range(m)
+    for each rank in [0, C(m,k)).
 
-    Lex rank r of S is colex rank C(m,k)-1-r of {m-1-x : x in S}, so each
-    block unranks all its rows at once, one ``searchsorted`` per slot.
+    Lex rank r of S is colex rank C(m,k)-1-r of {m-1-x : x in S}, so all
+    rows unrank at once, one ``searchsorted`` per slot.
     """
     total = math.comb(m, k)
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"C({m},{k}) = {total} subsets do not fit int64 ranks")
     table = _colex_binomials(m, k)
-    for rank in range(start, min(stop, total), block):
-        colex = total - 1 - np.arange(rank, min(rank + block, stop, total), dtype=np.int64)
-        rows = np.empty((colex.size, k), dtype=np.int64)
-        for i in range(k, 0, -1):
-            t = np.searchsorted(table[i], colex, side="right") - 1
-            colex -= table[i, t]
-            rows[:, k - i] = m - 1 - t
-        yield rank, rows
+    colex = total - 1 - np.asarray(ranks, dtype=np.int64)
+    rows = np.empty((colex.size, k), dtype=np.int64)
+    for i in range(k, 0, -1):
+        t = np.searchsorted(table[i], colex, side="right") - 1
+        colex -= table[i, t]
+        rows[:, k - i] = m - 1 - t
+    return rows
+
+
+def subset_blocks(
+    m: int, k: int, start: int, stop: int, block: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first rank, (B,k) index array) over lexicographic k-subsets."""
+    stop = min(stop, math.comb(m, k))
+    for rank in range(start, stop, block):
+        yield rank, unrank_rows(m, k, np.arange(rank, min(rank + block, stop), dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -256,6 +247,14 @@ def batch_adjacency(n: int, subsets: np.ndarray, dtype) -> np.ndarray:
     return A
 
 
+def batch_degrees(n: int, subsets: np.ndarray) -> np.ndarray:
+    """(B, n) vertex degrees of the graphs whose edges the subset rows select."""
+    eu, ev = _edge_endpoints(n)
+    B = subsets.shape[0]
+    ends = np.hstack([eu[subsets], ev[subsets]]) + n * np.arange(B)[:, None]
+    return np.bincount(ends.ravel(), minlength=B * n).reshape(B, n)
+
+
 def batch_eigenvalues(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
     """Ascending Laplacian eigenvalues for each subset row.
 
@@ -263,11 +262,11 @@ def batch_eigenvalues(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
     removed from K_n rather than as the edge set itself.  Off-diagonal zeros
     are -0.0, as -A gives: LAPACK's Householder step reads the sign of zero.
     """
+    deg = batch_degrees(n, subsets)
     eu, ev = _edge_endpoints(n)
     B = subsets.shape[0]
     u, v = eu[subsets], ev[subsets]
     rows = np.arange(B)[:, None]
-    deg = np.bincount((np.hstack([u, v]) + n * rows).ravel(), minlength=B * n).reshape(B, n)
     L = np.full((B, n, n), -1.0 if deleted else -0.0)
     L[rows, u, v] = L[rows, v, u] = -0.0 if deleted else -1.0
     diag = np.arange(n)

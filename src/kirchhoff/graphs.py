@@ -9,7 +9,7 @@ codec boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -84,11 +84,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adjacency_bits[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set
-
     def neighbors(self, v: int) -> list[int]:
         bits = self.adjacency_bits[v]
         return [u for u in range(self.n) if bits >> u & 1]
@@ -122,9 +117,10 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(sorted(seen)))
 
 
-def complete_edge_table(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def complete_edge_table(n: int) -> tuple[tuple[int, int], ...]:
     """Edges of K_n in the fixed enumeration order (by u, then v)."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 def complement(g: Graph) -> Graph:

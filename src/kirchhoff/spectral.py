@@ -13,6 +13,7 @@ All functions are pure; results are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,16 +48,8 @@ class Spectrum:
     zero_tol: float
 
     @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
     def zero_multiplicity(self) -> int:
         return sum(1 for v in self.values if v <= self.zero_tol)
-
-    @property
-    def nonzero(self) -> tuple[float, ...]:
-        return tuple(v for v in self.values if v > self.zero_tol)
 
 
 @dataclass(frozen=True)
@@ -71,13 +64,11 @@ class ResistanceMatrix:
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    """Dense Laplacian D - A as a float array."""
+    """Dense Laplacian D - A as a float array: -1.0 on edges, +0.0 off them, degrees on the diagonal."""
     L = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        L[u, v] -= 1.0
-        L[v, u] -= 1.0
-        L[u, u] += 1.0
-        L[v, v] += 1.0
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
+    L[ends[0::2], ends[1::2]] = L[ends[1::2], ends[0::2]] = -1.0
+    L.flat[:: g.n + 1] = np.bincount(ends, minlength=g.n)
     return L
 
 
@@ -208,18 +199,7 @@ def tree_count(g: Graph) -> int:
         raise ValueError("spanning trees need at least one vertex")
     if g.n == 1:
         return 1
-    minor = [[0] * (g.n - 1) for _ in range(g.n - 1)]
-    for u, v in g.edges:
-        minor_u = u - 1
-        minor_v = v - 1
-        if u > 0:
-            minor[minor_u][minor_u] += 1
-        if v > 0:
-            minor[minor_v][minor_v] += 1
-        if u > 0 and v > 0:
-            minor[minor_u][minor_v] -= 1
-            minor[minor_v][minor_u] -= 1
-    count = _bareiss_determinant(minor)
+    count = _bareiss_determinant(laplacian_matrix(g)[1:, 1:].astype(np.int64).tolist())
     spec = laplacian_spectrum(g)
     product = float(np.prod(spec.values[:-1])) / g.n if spec.zero_multiplicity == 1 else 0.0
     if product < _CROSSCHECK_EXACT:

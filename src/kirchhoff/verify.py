@@ -495,17 +495,17 @@ def _deleted_space_params(params: dict) -> tuple[int, int]:
     return n, p
 
 
-def _connected_deletions(
-    n: int, rank0: int, subs: np.ndarray
-) -> Iterator[tuple[int, list, Graph]]:
-    """(rank, deleted edges, K_n minus them) for each connected row of a block."""
-    table = complete_edge_table(n)
-    full = set(table)
-    for row, idx in enumerate(subs.tolist()):
-        deleted = [table[i] for i in idx]
-        g = make_graph(n, full - set(deleted))
+def _connected_deletions(spec: EnumerationSpec, subs: np.ndarray) -> Iterator[tuple[int, Graph]]:
+    """(row index, K_n minus the row's edges) for each connected row of a block."""
+    for i, row in enumerate(subs.tolist()):
+        g = enum.row_graph(spec, row)
         if is_connected(g):
-            yield rank0 + row, deleted, g
+            yield i, g
+
+
+def _star_rows(n: int, p: int, subs: np.ndarray) -> np.ndarray:
+    """Which rows delete a star: for p >= 2 edges, exactly when one vertex meets all p."""
+    return enum.batch_degrees(n, subs).max(axis=1) == p
 
 
 def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
@@ -550,16 +550,18 @@ def _failure(g: Graph, observed: str, expected: str) -> Counterexample:
     return Counterexample(graph6_encode(g), observed, expected)
 
 
-def _upper_bound_kernel(n: int, p: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
+def _upper_bound_kernel(spec: EnumerationSpec, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
     """Per-row checks of the full and simple upper bounds and their equality case;
     the Kf of every connected row goes to the pool, which keeps the maximal group."""
+    n, p = spec.n, spec.count
+    stars = _star_rows(n, p, subs)
     failures: list[Counterexample] = []
     vals, ranks = [], []
-    for rank, deleted, g in _connected_deletions(n, rank0, subs):
+    for i, g in _connected_deletions(spec, subs):
         kf = kf_spectral(g)
         rec = bound_eval(n, p, g)
         full_f = float(rec.upper_kf_full)
-        is_star = _shape_of_edges(deleted) == ComplementShape("star", p)
+        is_star = bool(stars[i])
         if kf > full_f + VALUE_TOL * max(1.0, full_f):
             failures.append(
                 _failure(g, f"Kf {format_real(kf)}", f"<= full bound {format_real(full_f)}")
@@ -578,7 +580,7 @@ def _upper_bound_kernel(n: int, p: int, rank0: int, subs: np.ndarray) -> enum.Su
                 "equality exactly on star complements",
             ))
         vals.append(kf)
-        ranks.append(rank)
+        ranks.append(rank0 + i)
     pool = np.array(vals), np.array(ranks, dtype=np.int64)
     return enum.SubsetScan(subs.shape[0], len(vals), *pool, failures)
 
@@ -587,9 +589,8 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("upper-bound", {"n": n, "p": p})
     spec = enum.deleted_edges(n, p)
-    kernel = partial(_upper_bound_kernel, n, p)
     merge = partial(enum.merge_subset_scans, "max", 1)
-    scan = enum.scan(spec, kernel, merge, jobs, budget)
+    scan = enum.scan(spec, partial(_upper_bound_kernel, spec), merge, jobs, budget)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
     star = build(FamilySpec("kn-minus-star", (n, p)))
@@ -615,14 +616,15 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
-def _tree_count_kernel(n: int, p: int, bound: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
+def _tree_count_kernel(spec: EnumerationSpec, bound: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
     """Per-row spanning-tree bound checks; pools the rows with t == bound."""
+    stars = _star_rows(spec.n, spec.count, subs)
     failures: list[Counterexample] = []
     connected, equal = 0, []
-    for rank, deleted, g in _connected_deletions(n, rank0, subs):
+    for i, g in _connected_deletions(spec, subs):
         connected += 1
         t = tree_count(g)
-        is_star = _shape_of_edges(deleted) == ComplementShape("star", p)
+        is_star = bool(stars[i])
         if t < bound:
             failures.append(_failure(g, f"t={t}", f"t >= {bound}"))
         if (t == bound) != is_star:
@@ -630,7 +632,7 @@ def _tree_count_kernel(n: int, p: int, bound: int, rank0: int, subs: np.ndarray)
                 g, f"t={t}, star-complement={is_star}", f"t == {bound} exactly on star complements"
             ))
         if t == bound:
-            equal.append(rank)
+            equal.append(rank0 + i)
     vals, ranks = np.full(len(equal), float(bound)), np.array(equal, dtype=np.int64)
     return enum.SubsetScan(subs.shape[0], connected, vals, ranks, failures)
 
@@ -639,9 +641,9 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("tree-count-bound", {"n": n, "p": p})
     bound = bound_eval(n, p).tree_count_lower
-    kernel = partial(_tree_count_kernel, n, p, bound)
+    spec = enum.deleted_edges(n, p)
     merge = partial(enum.merge_subset_scans, "max", 1)
-    scan = enum.scan(enum.deleted_edges(n, p), kernel, merge, jobs, budget)
+    scan = enum.scan(spec, partial(_tree_count_kernel, spec, bound), merge, jobs, budget)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
     equality_count = scan.ranks.size  # one value group: every row with t == bound
@@ -654,7 +656,7 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
 
 def _deletion_key(n: int, subs: np.ndarray) -> np.ndarray:
     """Max degree and touched-vertex count of each row's deleted edges, as one integer."""
-    deg = enum.batch_adjacency(n, subs, bool).sum(axis=2)
+    deg = enum.batch_degrees(n, subs)
     return deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
 
 
@@ -712,20 +714,41 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
-def _tree_chain(n: int) -> list[tuple[str, FamilySpec]]:
+def _named_families(n: int) -> dict[str, FamilySpec]:
+    """Every family the tree and max-ordering chains name, by report label."""
     def star(*branches):
         return FamilySpec("starlike", (n, tuple(sorted(branches, reverse=True))))
 
-    return [
-        ("path", FamilySpec("path", (n,))),
-        ("T(n-3,1,1)", star(n - 3, 1, 1)),
-        ("T(n-4,2,1)", star(n - 4, 2, 1)),
-        ("T(1,1;1,1)", FamilySpec("doublebranch", (n, (1, 1), (1, 1)))),
-        ("T(n-5,3,1)", star(n - 5, 3, 1)),
-        ("T(n-4,1,1,1)", star(n - 4, 1, 1, 1)),
-        ("T(1,1;2,1)", FamilySpec("doublebranch", (n, (1, 1), (2, 1)))),
-        ("T(n-6,4,1)", star(n - 6, 4, 1)),
-    ]
+    return {
+        "path": FamilySpec("path", (n,)),
+        "T(n-3,1,1)": star(n - 3, 1, 1),
+        "T(n-4,2,1)": star(n - 4, 2, 1),
+        "T(1,1;1,1)": FamilySpec("doublebranch", (n, (1, 1), (1, 1))),
+        "T(n-5,3,1)": star(n - 5, 3, 1),
+        "T(n-4,1,1,1)": star(n - 4, 1, 1, 1),
+        "T(1,1;2,1)": FamilySpec("doublebranch", (n, (1, 1), (2, 1))),
+        "T(n-6,4,1)": star(n - 6, 4, 1),
+        "P3-lollipop": FamilySpec("lollipop", (n, 3)),
+        "Q3": FamilySpec("q3", (n,)),
+        "C33-dumbbell": FamilySpec("dumbbell", (3, 3, n - 5)),
+        "R3": FamilySpec("r3", (n,)),
+        "P4-lollipop": FamilySpec("lollipop", (n, 4)),
+        "cycle": FamilySpec("cycle", (n,)),
+        "C3(1,n-4)": FamilySpec("tripath", (n, (1, n - 4))),
+        "C3(2,n-5)": FamilySpec("tripath", (n, (2, n - 5))),
+        "CQ3": FamilySpec("cq3", (n,)),
+    }
+
+
+_TREE_CHAIN = (
+    "path", "T(n-3,1,1)", "T(n-4,2,1)", "T(1,1;1,1)", "T(n-5,3,1)", "T(n-4,1,1,1)", "T(1,1;2,1)", "T(n-6,4,1)",
+)
+# Max-ordering: the ten top families in claimed order, then six claimed below the last.
+_MAX_CHAIN = (
+    "path", "T(n-3,1,1)", "P3-lollipop", "T(n-4,2,1)", "T(1,1;1,1)",
+    "Q3", "T(n-5,3,1)", "T(n-4,1,1,1)", "T(1,1;2,1)", "C33-dumbbell",
+)
+_MAX_BELOW = ("R3", "P4-lollipop", "cycle", "C3(1,n-4)", "C3(2,n-5)", "CQ3")
 
 
 def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
@@ -733,8 +756,8 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
     if n < 9:
         raise ParamOutOfRangeError("tree ordering is stated for n >= 9")
     report = VerificationReport("tree-ordering", {"n": n})
-    chain = _tree_chain(n)
-    graphs = [(label, build(spec)) for label, spec in chain]
+    families = _named_families(n)
+    graphs = [(label, build(families[label])) for label in _TREE_CHAIN]
     w_vals = [wiener(g) for _, g in graphs]
     for i, ((label, g), w) in enumerate(zip(graphs, w_vals), start=1):
         report.extremal_witnesses.append(
@@ -752,15 +775,15 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
         if not w_vals[a] > w_vals[b]:
             report.fail(
                 graph6_encode(graphs[b][1]),
-                f"W({chain[a][0]})={w_vals[a]}, W({chain[b][0]})={w_vals[b]}",
-                f"W({chain[a][0]}) > W({chain[b][0]}) strictly",
+                f"W({_TREE_CHAIN[a]})={w_vals[a]}, W({_TREE_CHAIN[b]})={w_vals[b]}",
+                f"W({_TREE_CHAIN[a]}) > W({_TREE_CHAIN[b]}) strictly",
             )
     spec = enum.labeled_trees(n)
     size = cardinality(spec)
     partial = False
     if size > budget:
         partial = True
-        report.checked_count = len(chain)
+        report.checked_count = len(_TREE_CHAIN)
         report.notes.append(
             f"exhaustive saturation skipped: {size} trees exceed budget {budget}"
         )
@@ -890,28 +913,21 @@ def _verify_bicyclic_max(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
-def _max_ordering_values(n: int) -> list[tuple[str, Graph, Fraction]]:
-    """The ten top families with exact Kf values (trees via integer Wiener)."""
-    entries: list[tuple[str, FamilySpec]] = [
-        ("path", FamilySpec("path", (n,))),
-        ("T(n-3,1,1)", FamilySpec("starlike", (n, (n - 3, 1, 1)))),
-        ("P3-lollipop", FamilySpec("lollipop", (n, 3))),
-        ("T(n-4,2,1)", FamilySpec("starlike", (n, (n - 4, 2, 1)))),
-        ("T(1,1;1,1)", FamilySpec("doublebranch", (n, (1, 1), (1, 1)))),
-        ("Q3", FamilySpec("q3", (n,))),
-        ("T(n-5,3,1)", FamilySpec("starlike", (n, (n - 5, 3, 1)))),
-        ("T(n-4,1,1,1)", FamilySpec("starlike", (n, (n - 4, 1, 1, 1)))),
-        ("T(1,1;2,1)", FamilySpec("doublebranch", (n, (1, 1), (2, 1)))),
-        ("C33-dumbbell", FamilySpec("dumbbell", (3, 3, n - 5))),
-    ]
-    out = []
-    for label, spec in entries:
-        g = build(spec)
-        exact = closed_form_kf(spec)
-        if exact is None:
-            exact = Fraction(wiener(g))  # trees: Kf equals the Wiener index
-        out.append((label, g, exact))
-    return out
+def _checked_family_kf(report: VerificationReport, label: str, spec: FamilySpec) -> tuple[Graph, Fraction, float]:
+    """A named family's graph, exact Kf (trees via integer Wiener) and ``kf_spectral``;
+    a failure when the two values disagree."""
+    g = build(spec)
+    exact = closed_form_kf(spec)
+    if exact is None:
+        exact = Fraction(wiener(g))  # trees: Kf equals the Wiener index
+    numeric = kf_spectral(g)
+    if abs(numeric - float(exact)) > VALUE_TOL * max(1.0, float(exact)):
+        report.fail(
+            graph6_encode(g),
+            f"{label} numeric {format_real(numeric)}",
+            f"closed form {format_exact(exact)}",
+        )
+    return g, exact, numeric
 
 
 def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
@@ -919,20 +935,13 @@ def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
     if n < 10:
         raise ParamOutOfRangeError("max-ordering chain needs n >= 10 (distinct families)")
     report = VerificationReport("max-ordering", {"n": n})
-    chain = _max_ordering_values(n)
-    checked = 0
-    for rank, (label, g, exact) in enumerate(chain, start=1):
-        numeric = kf_spectral(g)
-        checked += 1
-        if abs(numeric - float(exact)) > VALUE_TOL * max(1.0, float(exact)):
-            report.fail(
-                graph6_encode(g),
-                f"{label} numeric {format_real(numeric)}",
-                f"closed form {format_exact(exact)}",
-            )
+    families = _named_families(n)
+    values, labels = [], _MAX_CHAIN
+    for rank, label in enumerate(labels, start=1):
+        g, exact, _ = _checked_family_kf(report, label, families[label])
+        values.append(exact)
         report.extremal_witnesses.append(Witness(rank, graph6_encode(g), float(exact), 1))
-    values = [exact for _, _, exact in chain]
-    labels = [label for label, _, _ in chain]
+    checked = len(labels)
     tie = (7, 8)
     if values[tie[0]] != values[tie[1]]:
         report.fail("-", f"{labels[tie[0]]}={format_exact(values[tie[0]])}, "
@@ -950,25 +959,9 @@ def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
                 f"Kf({labels[a]}) > Kf({labels[b]}) strictly",
             )
     ceiling = values[-1]  # dumbbell(3,3,n-5)
-    below: list[tuple[str, FamilySpec]] = [
-        ("R3", FamilySpec("r3", (n,))),
-        ("P4-lollipop", FamilySpec("lollipop", (n, 4))),
-        ("cycle", FamilySpec("cycle", (n,))),
-        ("C3(1,n-4)", FamilySpec("tripath", (n, (1, n - 4)))),
-        ("C3(2,n-5)", FamilySpec("tripath", (n, (2, n - 5)))),
-        ("CQ3", FamilySpec("cq3", (n,))),
-    ]
-    for label, spec in below:
-        g = build(spec)
-        numeric = kf_spectral(g)
+    for label in _MAX_BELOW:
+        g, exact, numeric = _checked_family_kf(report, label, families[label])
         checked += 1
-        exact = closed_form_kf(spec)
-        if abs(numeric - float(exact)) > VALUE_TOL * max(1.0, float(exact)):
-            report.fail(
-                graph6_encode(g),
-                f"{label} numeric {format_real(numeric)}",
-                f"closed form {format_exact(exact)}",
-            )
         if not exact < ceiling:
             report.fail(
                 graph6_encode(g),
@@ -1000,6 +993,8 @@ def _verify_edge_trim(params, budget, jobs) -> VerificationReport:
     seed = params.get("seed", 0)
     if m <= n + 1:
         raise ParamOutOfRangeError("edge trimming needs m > n+1")
+    if trials < 1:
+        raise ParamOutOfRangeError(f"edge trimming needs trials >= 1, got {trials}")
     if m > n * (n - 1) // 2:
         raise ParamOutOfRangeError(f"no graph with n={n}, m={m}")
     report = VerificationReport(
@@ -1033,16 +1028,17 @@ def _verify_edge_trim(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
+# theorem id -> (verifier, the parameter names it takes)
 _VERIFIERS = {
-    "lower-bound": _verify_lower_bound,
-    "upper-bound": _verify_upper_bound,
-    "tree-count-bound": _verify_tree_count_bound,
-    "min-ordering": _verify_min_ordering,
-    "tree-ordering": _verify_tree_ordering,
-    "unicyclic-max": _verify_unicyclic_max,
-    "bicyclic-max": _verify_bicyclic_max,
-    "max-ordering": _verify_max_ordering,
-    "edge-trim": _verify_edge_trim,
+    "lower-bound": (_verify_lower_bound, ("n", "p")),
+    "upper-bound": (_verify_upper_bound, ("n", "p")),
+    "tree-count-bound": (_verify_tree_count_bound, ("n", "p")),
+    "min-ordering": (_verify_min_ordering, ("n",)),
+    "tree-ordering": (_verify_tree_ordering, ("n",)),
+    "unicyclic-max": (_verify_unicyclic_max, ("n", "girths")),
+    "bicyclic-max": (_verify_bicyclic_max, ("n",)),
+    "max-ordering": (_verify_max_ordering, ("n",)),
+    "edge-trim": (_verify_edge_trim, ("n", "m", "trials", "seed")),
 }
 
 
@@ -1059,7 +1055,13 @@ def verify_theorem(
         )
     if jobs < 1:
         raise ParamOutOfRangeError(f"jobs must be >= 1, got {jobs}")
+    verifier, takes = _VERIFIERS[theorem_id]
+    extra = sorted(set(params) - set(takes))
+    if extra:
+        raise ParamOutOfRangeError(
+            f"{theorem_id} does not take parameter(s) {', '.join(extra)}; it takes {', '.join(takes)}"
+        )
     start = time.perf_counter()
-    report = _VERIFIERS[theorem_id](params, budget, jobs)
+    report = verifier(params, budget, jobs)
     report.elapsed_seconds = time.perf_counter() - start
     return report

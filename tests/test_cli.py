@@ -85,6 +85,15 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "search", "--trees", "6", "--max", "--jobs", "-5")
         assert code == 2 and out == "" and err == "error: jobs must be >= 1, got -5\n"
 
+    def test_trials_below_one_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "edge-trim", "--n", "8", "--m", "12", "--trials", "-1")
+        assert code == 2 and out == "" and err == "error: edge trimming needs trials >= 1, got -1\n"
+
+    def test_parameter_the_theorem_does_not_take_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "max-ordering", "--n", "10", "--p", "3")
+        assert code == 2 and out == ""
+        assert err == "error: max-ordering does not take parameter(s) p; it takes n\n"
+
     def test_determinism_except_footer(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--theorem", "upper-bound", "--n", "6", "--p", "2")
         code2, out2, _ = run(capsys, "verify", "--theorem", "upper-bound", "--n", "6", "--p", "2")
@@ -143,6 +152,10 @@ class TestTableCommand:
         assert code == 0
         assert out.splitlines()[1:] == ["path,2,1,1,0", "path,3,4,4,0"]
         assert "warning: skipping path at n=1: " in err
+
+    def test_reversed_range_exit_two(self, capsys):
+        code, out, err = run(capsys, "table", "--families", "path", "--n", "7..5")
+        assert code == 2 and out == "" and "empty range '7..5'" in err
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "table", "--families", "nope", "--n", "5")

@@ -27,7 +27,6 @@ from kirchhoff.enumeration import (
     scan_subsets,
     subset_block_rows,
     subset_blocks,
-    unrank_combination,
     unrank_sequence,
 )
 from kirchhoff.graphs import is_connected, make_graph
@@ -84,11 +83,6 @@ class TestConnectedWithEdges:
 
 
 class TestUnranking:
-    def test_unrank_combination_matches_lexicographic(self):
-        combos = list(combinations(range(7), 3))
-        for rank, combo in enumerate(combos):
-            assert unrank_combination(7, 3, rank) == combo
-
     def test_unrank_sequence_matches_mixed_radix(self):
         n = 4
         seqs = [unrank_sequence(n, r) for r in range(n ** (n - 2))]
@@ -100,8 +94,7 @@ class TestUnranking:
         ranks = [r for r, _ in blocks]
         assert ranks[0] == 30
         rows = np.concatenate([b for _, b in blocks])
-        assert rows.shape == (120, 4)
-        assert tuple(rows[0]) == unrank_combination(10, 4, 30)
+        assert rows.tolist() == [list(c) for c in islice(combinations(range(10), 4), 30, 150)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -131,6 +124,22 @@ class TestUnranking:
 
 
 class TestMember:
+    def test_member_matches_lexicographic_combinations(self):
+        # rank r is the r-th k-subset of E(K_n) in itertools order: the edges kept, or deleted
+        table = complete_edge_table(5)
+        for k in (0, 2, 5, 10):
+            for rank, combo in enumerate(combinations(table, k)):
+                assert member(connected_with_edges(5, k), rank) == make_graph(5, combo)
+                assert member(deleted_edges(5, k), rank) == make_graph(5, set(table) - set(combo))
+
+    @pytest.mark.parametrize(
+        "spec", [deleted_edges(5, 2), labeled_trees(4), connected_with_edges(5, 5)], ids=lambda s: s.mode
+    )
+    def test_member_rejects_ranks_outside_the_space(self, spec):
+        for rank in (-1, cardinality(spec)):
+            with pytest.raises(ValueError, match=rf"rank {rank} outside \[0, {cardinality(spec)}\)"):
+                member(spec, rank)
+
     def test_member_at_each_rank_is_the_streamed_member(self):
         for spec in (deleted_edges(5, 2), labeled_trees(5)):
             members = [member(spec, r) for r in range(cardinality(spec))]

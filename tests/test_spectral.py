@@ -39,6 +39,34 @@ def spectra_close(values, expected, tol=1e-8):
     return all(abs(a - b) <= tol for a, b in zip(values, expected))
 
 
+def _per_edge_laplacian(g):
+    """The per-edge accumulation laplacian_matrix used to be: the bitwise reference."""
+    L = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        L[u, v] -= 1.0
+        L[v, u] -= 1.0
+        L[u, u] += 1.0
+        L[v, v] += 1.0
+    return L
+
+
+class TestLaplacianMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(complete_edge_table(n))))
+        )
+    )
+    @example((1, set()))
+    @example((7, set()))
+    @example((9, {(0, 1)}))
+    def test_bitwise_equal_to_per_edge_assembly(self, case):
+        # +0.0 off the edges and on an isolated vertex's diagonal, as the sum of nothing gives
+        n, edges = case
+        g = make_graph(n, edges)
+        assert (laplacian_matrix(g).view(np.int64) == _per_edge_laplacian(g).view(np.int64)).all()
+
+
 class TestSpectrum:
     def test_complete_graph(self):
         spec = laplacian_spectrum(fam("complete", 4))

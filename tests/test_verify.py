@@ -2,9 +2,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from kirchhoff.enumeration import deleted_edges, labeled_trees
+import kirchhoff.verify as verify
+from kirchhoff.enumeration import (
+    batch_adjacency,
+    cardinality,
+    complete_edge_table,
+    deleted_edges,
+    labeled_trees,
+    subset_blocks,
+)
 from kirchhoff.families import FamilySpec, build
 from kirchhoff.graphs import make_graph
 from kirchhoff.spectral import DisconnectedGraphError, kf_spectral
@@ -39,6 +48,18 @@ class TestComplementShape:
 
     def test_other(self):
         assert complement_shape(fam("path", 5)).kind == "other"
+
+    @pytest.mark.parametrize("n,p", [(7, 3), (8, 4)])
+    def test_block_star_mask_and_deletion_key_match_per_row(self, n, p):
+        m = n * (n - 1) // 2
+        (_, subs), = subset_blocks(m, p, 0, cardinality(deleted_edges(n, p)), 1 << 15)
+        table = complete_edge_table(n)
+        stars = [verify._shape_of_edges([table[i] for i in row]) == ComplementShape("star", p) for row in subs.tolist()]
+        assert verify._star_rows(n, p, subs).tolist() == stars
+        assert sum(stars) == count_labeled_stars(n, p)
+        deg = batch_adjacency(n, subs, bool).sum(axis=2)
+        key = deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
+        assert (verify._deletion_key(n, subs) == key).all()
 
 
 class TestBoundEval:
@@ -226,6 +247,15 @@ class TestVerifyTheorem:
     def test_unknown_theorem(self):
         with pytest.raises(ParamOutOfRangeError):
             verify_theorem("no-such-claim", {})
+
+    def test_parameter_not_taken_is_rejected(self):
+        with pytest.raises(ParamOutOfRangeError, match="max-ordering does not take parameter.s. p; it takes n"):
+            verify_theorem("max-ordering", {"n": 10, "p": 3})
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_edge_trim_needs_a_trial(self, trials):
+        with pytest.raises(ParamOutOfRangeError, match=f"trials >= 1, got {trials}"):
+            verify_theorem("edge-trim", {"n": 8, "m": 12, "trials": trials})
 
     def test_report_rendering_deterministic(self):
         a = verify_theorem("lower-bound", {"n": 6, "p": 2})
