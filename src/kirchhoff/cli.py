@@ -141,11 +141,11 @@ def _cmd_search(args) -> int:
     sources = [args.deleted_edges, args.trees, args.connected]
     if sum(s is not None for s in sources) != 1:
         raise CliError("exactly one of --deleted-edges, --trees, --connected is required")
-    if args.deleted_edges:
+    if args.deleted_edges is not None:
         n, p = _parse_pair(args.deleted_edges, "--deleted-edges")
         spec = enum.deleted_edges(n, p)
-    elif args.trees:
-        spec = enum.labeled_trees(int(args.trees))
+    elif args.trees is not None:
+        spec = enum.labeled_trees(args.trees)
     else:
         n, m = _parse_pair(args.connected, "--connected")
         spec = enum.connected_with_edges(n, m)
@@ -153,6 +153,8 @@ def _cmd_search(args) -> int:
         raise CliError("exactly one of --min, --max is required")
     objective = "min" if args.min else "max"
     witnesses = extremal_search(spec, objective, args.top, budget=args.budget, jobs=args.jobs)
+    if not witnesses:
+        raise CliError(f"no connected member in the {spec.mode} space: nothing to rank")
     lines = ["rank,graph6,kf,count"]
     for w in witnesses:
         lines.append(f"{w.rank},{w.graph6},{format_real(w.kf)},{w.count}")
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="extremal Kirchhoff values over a space")
     p_search.add_argument("--deleted-edges", help="n,p: delete p edges from K_n")
-    p_search.add_argument("--trees", help="n: all labeled trees")
+    p_search.add_argument("--trees", type=int, help="n: all labeled trees")
     p_search.add_argument("--connected", help="n,m: connected graphs with m edges")
     p_search.add_argument("--min", action="store_true")
     p_search.add_argument("--max", action="store_true")

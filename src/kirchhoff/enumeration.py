@@ -11,22 +11,25 @@ quantified claims are safe to check with duplicates):
 An :class:`EnumerationSpec` is the only description of a space: the budget
 check, the scan's block walk and the member at a rank (:func:`member`) all
 derive from it.  Cardinalities are checked against a budget up front, so
-large requests refuse gracefully.  One unranker (:func:`unrank_rows`) gives
-both a scan block's subset rows and the row behind a member, and one map
-(:func:`row_graph`) turns a row into its graph.  The subset Kf kernel
-unranks blocks of up to 2^15 rows at once and eigensolves only their
-connected rows, found by an exact bitmask test (:func:`batch_connected`;
-``graphs.connected_components`` tests one graph).  One scan engine (:func:`scan`) runs every exhaustive
-scan: work splits into disjoint rank ranges, one per worker, and every
-block's partial result merges in rank order.  Every row is visited once for
-any worker count, but the block boundaries move with it; :func:`scan` says
-what that can change.
+large requests refuse gracefully.  Each space has one unranker, used by
+both the scan's blocks and :func:`member` (:func:`unrank_rows` for subsets,
+:func:`prufer_rows` for trees), and one map (:func:`row_graph`) turns a row
+into its graph.  One smallest-leaf decoder (:func:`prufer_steps`) serves
+both :func:`prufer_decode` and the Wiener kernel.  Every space is walked in
+blocks of up to 2^15 rows (:func:`block_rows`); the subset Kf kernel
+eigensolves only a block's connected rows, found by an exact bitmask test
+(:func:`batch_connected`).  One scan engine (:func:`scan`) runs every
+exhaustive scan: work splits into disjoint rank ranges, one per job, and
+every block's partial result merges in rank order.  Every row is visited
+once for any job count, but the block boundaries move with it; :func:`scan`
+says what that can change.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterator
@@ -40,7 +43,6 @@ DEFAULT_BUDGET = 10**8
 
 # The one tie rule (see tied): relative gap between two Kf values that makes them two values.
 TIE_TOL = 1e-7
-TREE_BLOCK = 1 << 19  # Prüfer ranks per tree-kernel block
 
 
 class BudgetExceededError(ValueError):
@@ -100,29 +102,11 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     """Tree for a vertex sequence of length n-2, by the smallest-leaf rule."""
     if len(seq) != n - 2:
         raise ValueError(f"sequence length must be n-2={n - 2}")
-    degree = [1] * n
     for x in seq:
         if not 0 <= x < n:
             raise ValueError(f"sequence entry {x} outside [0,{n})")
-        degree[x] += 1
-    edges = []
-    for x in seq:
-        leaf = min(v for v in range(n) if degree[v] == 1)
-        edges.append((leaf, x))
-        degree[leaf] = 0
-        degree[x] -= 1
-    u, v = (v for v in range(n) if degree[v] == 1)
-    edges.append((u, v))
-    return make_graph(n, edges)
-
-
-def unrank_sequence(n: int, rank: int) -> tuple[int, ...]:
-    """The rank-th length-(n-2) sequence over range(n), most significant first."""
-    seq = []
-    for j in range(n - 2):
-        power = n ** (n - 3 - j)
-        seq.append(rank // power % n)
-    return tuple(seq)
+    steps = prufer_steps(n, np.array(seq, dtype=np.int64).reshape(1, n - 2))
+    return make_graph(n, [(int(leaf[0]), int(parent[0])) for leaf, parent in steps])
 
 
 def member(spec: EnumerationSpec, rank: int) -> Graph:
@@ -132,13 +116,17 @@ def member(spec: EnumerationSpec, rank: int) -> Graph:
         raise ValueError(f"rank {rank} outside [0, {total})")
     n = spec.n
     if spec.mode == "labeled-trees":
-        return prufer_decode(unrank_sequence(n, rank), n)
-    return row_graph(spec, unrank_rows(n * (n - 1) // 2, spec.count, [rank])[0].tolist())
+        row = prufer_rows(n, [rank])[0]
+    else:
+        row = unrank_rows(n * (n - 1) // 2, spec.count, [rank])[0]
+    return row_graph(spec, row.tolist())
 
 
 def row_graph(spec: EnumerationSpec, row: list[int]) -> Graph:
-    """The graph a subset row stands for: the edges of K_n it selects, or in
-    ``deleted-edges`` mode the edges it leaves."""
+    """The graph a row stands for: the tree a Prüfer row decodes to, or the
+    edges of K_n a subset row selects (in ``deleted-edges`` mode, leaves)."""
+    if spec.mode == "labeled-trees":
+        return prufer_decode(row, spec.n)
     table = complete_edge_table(spec.n)
     chosen = {table[i] for i in row}
     return make_graph(spec.n, set(table) - chosen if spec.mode == "deleted-edges" else chosen)
@@ -149,16 +137,10 @@ def enumerate_space(
 ) -> Iterator[Graph]:
     """Stream every member of the space exactly once, in rank order (labeled
     objects; ``connected-with-edges`` streams only its connected members)."""
-    total = check_budget(spec, budget)
-    n = spec.n
-    if spec.mode == "labeled-trees":
-        for rank in range(total):
-            yield prufer_decode(unrank_sequence(n, rank), n)
-        return
-    for _, rows in subset_blocks(n * (n - 1) // 2, spec.count, 0, total, subset_block_rows(n)):
+    for _, rows in _blocks(spec, 0, check_budget(spec, budget)):
         for row in rows.tolist():
             g = row_graph(spec, row)
-            if spec.mode == "deleted-edges" or is_connected(g):
+            if spec.mode != "connected-with-edges" or is_connected(g):
                 yield g
 
 
@@ -200,6 +182,37 @@ def subset_blocks(
     stop = min(stop, math.comb(m, k))
     for rank in range(start, stop, block):
         yield rank, unrank_rows(m, k, np.arange(rank, min(rank + block, stop), dtype=np.int64))
+
+
+def prufer_rows(n: int, ranks) -> np.ndarray:
+    """(B, n-2) digit array: the rank-th length-(n-2) sequence over range(n),
+    most significant digit first, for each rank in [0, n^(n-2))."""
+    if n ** (n - 2) > np.iinfo(np.int64).max:
+        raise ValueError(f"{n}^{n - 2} sequences do not fit int64 ranks")
+    powers = n ** np.arange(n - 3, -1, -1, dtype=np.int64)
+    return np.asarray(ranks, dtype=np.int64)[:, None] // powers % n
+
+
+def prufer_steps(n: int, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(leaf, parent) arrays for each of the n-1 edges the smallest-leaf rule
+    decodes from (B, n-2) Prüfer rows, in decoding order.
+
+    Step k joins the smallest leaf to digit k and prunes the leaf; the last
+    step joins the two vertices left.
+    """
+    B = rows.shape[0]
+    degree = np.ones((B, n), dtype=np.int16)
+    flat = (rows + n * np.arange(B, dtype=np.int64)[:, None]).ravel()
+    degree += np.bincount(flat, minlength=B * n).reshape(B, n).astype(np.int16)
+    idx = np.arange(B)
+    for k in range(n - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        parent = rows[:, k]
+        yield leaf, parent
+        degree[idx, leaf] = 0
+        degree[idx, parent] -= 1
+    ends = degree == 1
+    yield np.argmax(ends, axis=1), n - 1 - np.argmax(ends[:, ::-1], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -296,35 +309,21 @@ def batch_cycle_length(n: int, subsets: np.ndarray) -> np.ndarray:
     return (A.sum(axis=2) > 0).sum(axis=1)
 
 
-def wiener_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Exact Wiener index for the labeled trees with ranks [start, stop).
+def wiener_block(n: int, rows: np.ndarray) -> np.ndarray:
+    """Exact Wiener index of the labeled tree behind each (B, n-2) Prüfer row.
 
-    Decodes all sequences at once, accumulating each pruned edge's
-    component-size split a(n-a); this reproduces the per-tree BFS value.
+    Each decoding step prunes a leaf whose side of the tree has s vertices,
+    and s(n-s) vertex pairs cross that edge; their sum over the steps
+    reproduces the per-tree BFS value.
     """
-    B = stop - start
-    codes = np.arange(start, stop, dtype=np.int64)
-    seq = np.empty((B, max(n - 2, 1)), dtype=np.int64)
-    for j in range(n - 2):
-        seq[:, j] = codes // (n ** (n - 3 - j)) % n
-    degree = np.ones((B, n), dtype=np.int16)
-    if n > 2:
-        flat = (seq[:, : n - 2] + n * np.arange(B, dtype=np.int64)[:, None]).ravel()
-        degree += np.bincount(flat, minlength=B * n).reshape(B, n).astype(np.int16)
+    B = rows.shape[0]
     size = np.ones((B, n), dtype=np.int16)
     W = np.zeros(B, dtype=np.int64)
-    rows = np.arange(B)
-    for k in range(n - 2):
-        leaf = np.argmax(degree == 1, axis=1)
-        parent = seq[:, k]
-        s = size[rows, leaf].astype(np.int64)
+    idx = np.arange(B)
+    for leaf, parent in prufer_steps(n, rows):
+        s = size[idx, leaf].astype(np.int64)
         W += s * (n - s)
-        degree[rows, leaf] = 0
-        degree[rows, parent] -= 1
-        size[rows, parent] += s.astype(np.int16)
-    leaf = np.argmax(degree == 1, axis=1)
-    s = size[rows, leaf].astype(np.int64)
-    W += s * (n - s)
+        size[idx, parent] += s.astype(np.int16)
     return W
 
 
@@ -379,43 +378,45 @@ def value_groups(
 # jobs and merges every block's partial in rank order.
 
 
-def subset_block_rows(n: int) -> int:
-    """Rows per subset-kernel block: the largest power of two <= 2^15 whose
-    (rows, n, n) Laplacian stack has at most 3 * 2^20 entries, which keeps a
-    fork worker's peak memory from growing with n."""
+def block_rows(n: int) -> int:
+    """Rows per scan block in every space: the largest power of two <= 2^15
+    whose (rows, n, n) Laplacian stack has at most 3 * 2^20 entries, which
+    keeps a fork worker's peak memory from growing with n."""
     rows = 1 << 15
     while rows * n * n > 3 << 20:
         rows >>= 1
     return rows
 
 
-def _scan_worker(task) -> list:
-    """``kernel(first rank, block)`` for each block of one contiguous rank range.
-
-    A subset block is its (B, k) index rows from :func:`subset_blocks`; a
-    tree block is its stop rank, for kernels that decode Prüfer ranks themselves.
-    """
-    spec, kernel, start, stop = task
+def _blocks(spec: EnumerationSpec, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first rank, rows) for each block of the ranks [start, stop) of ``spec``."""
+    n, block = spec.n, block_rows(spec.n)
     if spec.mode == "labeled-trees":
-        walk = ((s, min(s + TREE_BLOCK, stop)) for s in range(start, stop, TREE_BLOCK))
-    else:
-        m = spec.n * (spec.n - 1) // 2
-        walk = subset_blocks(m, spec.count, start, stop, subset_block_rows(spec.n))
-    return [kernel(rank0, block) for rank0, block in walk]
+        ranks = range(start, stop, block)
+        return ((r, prufer_rows(n, np.arange(r, min(r + block, stop)))) for r in ranks)
+    return subset_blocks(n * (n - 1) // 2, spec.count, start, stop, block)
+
+
+def _scan_worker(task) -> list:
+    """``kernel(first rank, rows)`` for each block of one contiguous rank range:
+    (B, k) subset index rows, or (B, n-2) Prüfer digit rows in a tree space."""
+    spec, kernel, start, stop = task
+    return [kernel(rank0, rows) for rank0, rows in _blocks(spec, start, stop)]
 
 
 def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFAULT_BUDGET):
-    """``merge`` of every block's ``kernel(first rank, block)`` over ``spec``, in rank order.
+    """``merge`` of every block's ``kernel(first rank, rows)`` over ``spec``, in rank order.
 
     A space larger than ``budget`` raises :class:`BudgetExceededError`
     before any block runs.  Its ranks [0, total) split into ``jobs``
-    contiguous ranges, run inline at jobs=1 and in a fork pool otherwise,
-    where ``kernel`` must pickle (a module-level function or a partial of
-    one).  A range can start mid-block, so block boundaries depend on
-    ``jobs``; per-row values, counts, failures and histograms do not.
-    Pooled value groups do when near-ties chain across more than TIE_TOL,
-    since a block missing a middle value splits the chain; exact tie
-    adjudication would remove that dependence.
+    contiguous ranges, run inline at jobs=1 and otherwise in a fork pool
+    of at most one worker per usable CPU, where ``kernel`` must pickle (a
+    module-level function or a partial of one).  A range can start
+    mid-block, so block boundaries depend on ``jobs``; per-row values,
+    counts, failures and histograms do not.  Pooled value groups do when
+    near-ties chain across more than TIE_TOL, since a block missing a
+    middle value splits the chain; exact tie adjudication would remove
+    that dependence.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -425,7 +426,8 @@ def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFA
     tasks = [(spec, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
     if jobs == 1:
         return merge(_scan_worker(tasks[0]))
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
+    workers = min(jobs, len(os.sched_getaffinity(0)))
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         return merge([part for parts in pool.map(_scan_worker, tasks) for part in parts])
 
 
@@ -508,11 +510,11 @@ class TreeScan:
     first_rank: dict[int, int]
 
 
-def _wiener_kernel(n, start, stop) -> TreeScan:
-    W = wiener_block(n, start, stop)
+def _wiener_kernel(n, rank0, rows) -> TreeScan:
+    W = wiener_block(n, rows)
     hist = np.bincount(W, minlength=n**3 // 6 + 2)
-    first_rank = {int(w): start + int(np.argmax(W == w)) for w in np.flatnonzero(hist)}
-    return TreeScan(stop - start, hist, first_rank)
+    first_rank = {int(w): rank0 + int(np.argmax(W == w)) for w in np.flatnonzero(hist)}
+    return TreeScan(rows.shape[0], hist, first_rank)
 
 
 def _merge_histograms(parts: list[TreeScan]) -> TreeScan:

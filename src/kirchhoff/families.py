@@ -38,25 +38,6 @@ class NoClosedFormSpectrumError(ValueError):
     """The kind has no exact closed-form spectrum."""
 
 
-KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "starlike",
-    "doublebranch",
-    "lollipop",
-    "q3",
-    "r3",
-    "cq3",
-    "tripath",
-    "tripath3",
-    "dumbbell",
-    "kn-minus-matching",
-    "kn-minus-star",
-    "gi",
-)
-
 # Edge patterns deleted from K_n for the g1..g9 family, on lowest labels.
 _GI_PATTERNS: dict[int, tuple[tuple[int, int], ...]] = {
     1: (),
@@ -211,15 +192,6 @@ def validate(spec: FamilySpec) -> None:
             raise _fail(spec, f"g{i} needs n >= {_GI_MIN_N[i]}")
     else:
         raise _fail(spec, f"unknown family kind {kind!r}")
-
-
-def family_size(spec: FamilySpec) -> int:
-    """Vertex count of the built graph."""
-    validate(spec)
-    if spec.kind == "dumbbell":
-        p, q, l = spec.args
-        return p + q + l - 1
-    return spec.args[0]
 
 
 def _path_edges(vertices: list[int]) -> list[tuple[int, int]]:

@@ -60,18 +60,6 @@ from .spectral import (
 
 VALUE_TOL = 1e-9
 
-THEOREM_IDS = (
-    "min-ordering",
-    "lower-bound",
-    "upper-bound",
-    "tree-count-bound",
-    "tree-ordering",
-    "unicyclic-max",
-    "bicyclic-max",
-    "max-ordering",
-    "edge-trim",
-)
-
 
 class ParamOutOfRangeError(ValueError):
     """Verifier parameters outside the supported range."""
@@ -872,6 +860,8 @@ def _verify_unicyclic_max(params, budget, jobs) -> VerificationReport:
         raise ParamOutOfRangeError("unicyclic check needs n >= 5")
     if any(not 3 <= k <= n for k in girths):
         raise ParamOutOfRangeError(f"girths must lie in 3..{n}")
+    if len(set(girths)) != len(girths):
+        raise ParamOutOfRangeError(f"girths must be distinct, got {tuple(girths)}")
     report = VerificationReport("unicyclic-max", {"n": n, "girths": tuple(girths)})
     spec = enum.connected_with_edges(n, n)
     scan = enum.scan_subsets(spec, "max", 1, jobs, budget, classify=enum.batch_cycle_length)
@@ -882,7 +872,7 @@ def _verify_unicyclic_max(params, budget, jobs) -> VerificationReport:
     if not tied(global_best, float(by_girth[3].vals.max())):
         report.fail("-", f"overall max {format_real(global_best)} not at cycle length 3",
                     "overall maximizer has cycle length 3")
-    for rank_pos, k in enumerate(sorted(set(girths)), start=1):
+    for rank_pos, k in enumerate(sorted(girths), start=1):
         if k not in by_girth:
             report.fail("-", f"no connected graphs with cycle length {k}", "nonempty class")
             continue
@@ -1030,16 +1020,17 @@ def _verify_edge_trim(params, budget, jobs) -> VerificationReport:
 
 # theorem id -> (verifier, the parameter names it takes)
 _VERIFIERS = {
+    "min-ordering": (_verify_min_ordering, ("n",)),
     "lower-bound": (_verify_lower_bound, ("n", "p")),
     "upper-bound": (_verify_upper_bound, ("n", "p")),
     "tree-count-bound": (_verify_tree_count_bound, ("n", "p")),
-    "min-ordering": (_verify_min_ordering, ("n",)),
     "tree-ordering": (_verify_tree_ordering, ("n",)),
     "unicyclic-max": (_verify_unicyclic_max, ("n", "girths")),
     "bicyclic-max": (_verify_bicyclic_max, ("n",)),
     "max-ordering": (_verify_max_ordering, ("n",)),
     "edge-trim": (_verify_edge_trim, ("n", "m", "trials", "seed")),
 }
+THEOREM_IDS = tuple(_VERIFIERS)
 
 
 def verify_theorem(

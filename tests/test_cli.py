@@ -1,3 +1,5 @@
+import pytest
+
 from kirchhoff.cli import main
 
 
@@ -94,6 +96,10 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: max-ordering does not take parameter(s) p; it takes n\n"
 
+    def test_repeated_girths_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "unicyclic-max", "--n", "6", "--girths", "3,3")
+        assert code == 2 and out == "" and err == "error: girths must be distinct, got (3, 3)\n"
+
     def test_determinism_except_footer(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--theorem", "upper-bound", "--n", "6", "--p", "2")
         code2, out2, _ = run(capsys, "verify", "--theorem", "upper-bound", "--n", "6", "--p", "2")
@@ -120,6 +126,21 @@ class TestSearchCommand:
     def test_budget_refusal(self, capsys):
         code, _, err = run(capsys, "search", "--trees", "12", "--max")
         assert code == 2 and "budget" in err
+
+    def test_malformed_tree_count_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--trees", "9x", "--max"])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and "argument --trees: invalid int value: '9x'" in err
+
+    def test_empty_pair_exit_two(self, capsys):
+        code, out, err = run(capsys, "search", "--deleted-edges", "", "--min")
+        assert code == 2 and out == "" and err == "error: --deleted-edges expects 'a,b', got ''\n"
+
+    def test_space_without_connected_member_exit_two(self, capsys):
+        # K_4 minus all 6 of its edges leaves only the empty graph
+        code, out, err = run(capsys, "search", "--deleted-edges", "4,6", "--min")
+        assert code == 2 and out == "" and "no connected member" in err
 
     def test_objective_required(self, capsys):
         code, _, err = run(capsys, "search", "--trees", "6")

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from kirchhoff.enumeration import (
     batch_cycle_length,
     batch_eigenvalues,
     batch_kf,
+    block_rows,
     cardinality,
     check_budget,
     complete_edge_table,
@@ -23,11 +24,11 @@ from kirchhoff.enumeration import (
     labeled_trees,
     member,
     prufer_decode,
+    prufer_rows,
     scan_labeled_trees,
     scan_subsets,
-    subset_block_rows,
     subset_blocks,
-    unrank_sequence,
+    wiener_block,
 )
 from kirchhoff.graphs import is_connected, make_graph
 from kirchhoff.spectral import kf_spectral, wiener
@@ -59,9 +60,9 @@ class TestCardinalityAndBudget:
         with pytest.raises(BudgetExceededError):
             scan_labeled_trees(labeled_trees(12))
 
-    def test_subset_block_rows_from_n(self):
-        assert [subset_block_rows(n) for n in range(2, 10)] == [1 << 15] * 8
-        assert [subset_block_rows(n) for n in range(10, 14)] == [1 << 14] * 4
+    def test_block_rows_from_n(self):
+        assert [block_rows(n) for n in range(2, 10)] == [1 << 15] * 8
+        assert [block_rows(n) for n in range(10, 14)] == [1 << 14] * 4
 
     def test_budget_boundary_allows_equality(self):
         spec = deleted_edges(5, 2)
@@ -83,11 +84,11 @@ class TestConnectedWithEdges:
 
 
 class TestUnranking:
-    def test_unrank_sequence_matches_mixed_radix(self):
-        n = 4
-        seqs = [unrank_sequence(n, r) for r in range(n ** (n - 2))]
-        assert len(set(seqs)) == n ** (n - 2)
-        assert seqs[0] == (0, 0) and seqs[-1] == (3, 3)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_prufer_rows_match_mixed_radix(self, n):
+        rows = prufer_rows(n, np.arange(n ** (n - 2)))
+        assert rows.shape == (n ** (n - 2), n - 2)
+        assert [tuple(row) for row in rows.tolist()] == list(product(range(n), repeat=n - 2))
 
     def test_subset_blocks_cover_range(self):
         blocks = list(subset_blocks(10, 4, 30, 150, 32))
@@ -148,6 +149,30 @@ class TestMember:
         members = [member(spec, r) for r in range(cardinality(spec))]
         assert [g for g in members if is_connected(g)] == list(enumerate_space(spec))
 
+    def test_tree_ranks_are_int64(self):
+        # 17^15 < 2^63 - 1 < 18^16; the last sequence, all 16s, is the star at 16
+        last = cardinality(labeled_trees(17)) - 1
+        assert prufer_rows(17, [last]).tolist() == [[16] * 15]
+        assert member(labeled_trees(17), last) == make_graph(17, [(v, 16) for v in range(16)])
+        with pytest.raises(ValueError, match="do not fit int64"):
+            member(labeled_trees(18), 0)
+
+
+def scalar_prufer_decode(seq, n):
+    """Reference smallest-leaf decoder, one vertex scan per step."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v in range(n) if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] = 0
+        degree[x] -= 1
+    u, v = (v for v in range(n) if degree[v] == 1)
+    edges.append((u, v))
+    return make_graph(n, edges)
+
 
 class TestPrufer:
     def test_decode_star_and_path(self):
@@ -157,8 +182,37 @@ class TestPrufer:
 
     def test_all_sequences_distinct_trees(self):
         n = 5
-        trees = {prufer_decode(unrank_sequence(n, r), n) for r in range(125)}
+        trees = {prufer_decode(tuple(row), n) for row in prufer_rows(n, np.arange(125)).tolist()}
         assert len(trees) == 125
+
+    def check_decoders(self, n, seqs):
+        trees = [scalar_prufer_decode(seq, n) for seq in seqs]
+        assert [prufer_decode(seq, n) for seq in seqs] == trees
+        W = wiener_block(n, np.array(seqs, dtype=np.int64).reshape(len(seqs), n - 2))
+        assert W.tolist() == [wiener(t) for t in trees]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_decoders_match_scalar_loop_on_every_sequence(self, n):
+        self.check_decoders(n, list(product(range(n), repeat=n - 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2), min_size=1, max_size=8),
+            )
+        )
+    )
+    def test_decoders_match_scalar_loop(self, case):
+        n, seqs = case
+        self.check_decoders(n, [tuple(seq) for seq in seqs])
+
+    def test_decode_rejects_malformed_sequences(self):
+        with pytest.raises(ValueError, match="length must be n-2=3"):
+            prufer_decode((0, 1), 5)
+        with pytest.raises(ValueError, match=r"entry 5 outside \[0,5\)"):
+            prufer_decode((0, 5, 1), 5)
 
 
 class TestBulkKernels:
@@ -196,8 +250,7 @@ class TestBulkKernels:
     def test_wiener_scan_first_rank_witnesses(self):
         scan = scan_labeled_trees(labeled_trees(5))
         for w, rank in scan.first_rank.items():
-            tree = prufer_decode(unrank_sequence(5, rank), 5)
-            assert wiener(tree) == w
+            assert wiener(member(labeled_trees(5), rank)) == w
 
     def test_subset_scan_matches_bruteforce_extremes(self):
         table = complete_edge_table(6)
@@ -219,6 +272,40 @@ class TestBulkKernels:
         t_two = scan_labeled_trees(labeled_trees(6), jobs=2)
         assert (t_one.hist == t_two.hist).all()
         assert t_one.first_rank == t_two.first_rank
+
+    def test_tree_scan_jobs_split_mid_block(self):
+        # 8^6 = 262,144 trees in 8 blocks of 2^15; three ranges start mid-block
+        one = scan_labeled_trees(labeled_trees(8), jobs=1)
+        three = scan_labeled_trees(labeled_trees(8), jobs=3)
+        assert one.count == three.count == 8**6
+        assert one.hist.tolist() == three.hist.tolist()
+        assert one.first_rank == three.first_rank
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        class Context:
+            Pool = InlinePool
+
+        monkeypatch.setattr(enum.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(enum.os, "sched_getaffinity", lambda pid: {0, 1})
+        many = scan_labeled_trees(labeled_trees(6), jobs=100000)
+        one = scan_labeled_trees(labeled_trees(6), jobs=1)
+        assert sizes == [2]
+        assert many.hist.tolist() == one.hist.tolist() and many.first_rank == one.first_rank
 
     def test_unicyclic_girth_split(self):
         scan = scan_subsets(connected_with_edges(6, 6), "max", 1, classify=batch_cycle_length)

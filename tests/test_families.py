@@ -9,7 +9,6 @@ from kirchhoff.families import (
     build,
     closed_form_kf,
     closed_form_spectrum,
-    family_size,
     parse_family,
 )
 from kirchhoff.graphs import degree_stats
@@ -106,10 +105,6 @@ class TestBuild:
         for spec in bad:
             with pytest.raises(FamilyParameterError):
                 build(spec)
-
-    def test_family_size(self):
-        assert family_size(FamilySpec("dumbbell", (3, 4, 2))) == 8
-        assert family_size(FamilySpec("path", (7,))) == 7
 
 
 class TestClosedFormKf:
