@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import enumeration as enum
 from .enumeration import DEFAULT_BUDGET
-from .families import FamilySpec, build, closed_form_kf, parse_family
+from .families import NAMED_FAMILIES, build, closed_form_kf, parse_family
 from .graphs import Graph, graph6_decode, parse_edge_list
 from .spectral import (
     ConvergenceFailureError,
@@ -33,26 +33,6 @@ from .verify import (
     verify_theorem,
     THEOREM_IDS,
 )
-
-# Families the table command can sweep over a vertex-count range.
-TABLE_FAMILIES: dict[str, callable] = {
-    "path": lambda n: FamilySpec("path", (n,)),
-    "cycle": lambda n: FamilySpec("cycle", (n,)),
-    "complete": lambda n: FamilySpec("complete", (n,)),
-    "p3": lambda n: FamilySpec("lollipop", (n, 3)),
-    "p4": lambda n: FamilySpec("lollipop", (n, 4)),
-    "p5": lambda n: FamilySpec("lollipop", (n, 5)),
-    "q3": lambda n: FamilySpec("q3", (n,)),
-    "r3": lambda n: FamilySpec("r3", (n,)),
-    "c31": lambda n: FamilySpec("tripath", (n, (1, n - 4))),
-    "c32": lambda n: FamilySpec("tripath", (n, (2, n - 5))),
-    "c33": lambda n: FamilySpec("dumbbell", (3, 3, n - 5)),
-    "t421": lambda n: FamilySpec("starlike", (n, (n - 4, 2, 1))),
-    "t531": lambda n: FamilySpec("starlike", (n, (n - 5, 3, 1))),
-    "t641": lambda n: FamilySpec("starlike", (n, (n - 6, 4, 1))),
-    "b1221": lambda n: FamilySpec("doublebranch", (n, (1, 1), (2, 1))),
-}
-
 
 class CliError(Exception):
     """Operational error; message printed to stderr, exit code 2."""
@@ -180,18 +160,19 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_table(args) -> int:
+    families = {f.table: f.spec for f in NAMED_FAMILIES.values() if f.table}
     names = [x.strip() for x in args.families.split(",") if x.strip()]
-    unknown = [x for x in names if x not in TABLE_FAMILIES]
+    unknown = [x for x in names if x not in families]
     if unknown:
         raise CliError(
             f"unknown table families: {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(TABLE_FAMILIES))}"
+            f"available: {', '.join(sorted(families))}"
         )
     rows = ["family,n,closed_form,numeric_kf,abs_diff"]
     for name in names:
         for n in _parse_range(args.n):
             try:
-                spec = TABLE_FAMILIES[name](n)
+                spec = families[name](n)
                 exact = closed_form_kf(spec)
                 if exact is None:
                     print(f"warning: skipping {name} at n={n}: no closed form", file=sys.stderr)

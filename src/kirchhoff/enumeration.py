@@ -63,19 +63,27 @@ class EnumerationSpec:
     count: int | None = None
 
 
+def _check_n(n: int) -> None:
+    """Every space holds 2..62 vertices: witnesses print as graph6, whose one size
+    byte stops at 62, and batch_connected's int64 neighbour masks hold that many."""
+    if not 2 <= n <= 62:
+        raise ValueError(f"enumeration spaces need 2 <= n <= 62, got n={n}")
+
+
 def deleted_edges(n: int, p: int) -> EnumerationSpec:
+    _check_n(n)
     if not 0 <= p <= n * (n - 1) // 2:
         raise ValueError(f"cannot delete {p} edges from K_{n}")
     return EnumerationSpec("deleted-edges", n, p)
 
 
 def labeled_trees(n: int) -> EnumerationSpec:
-    if n < 2:
-        raise ValueError("labeled trees need n >= 2")
+    _check_n(n)
     return EnumerationSpec("labeled-trees", n)
 
 
 def connected_with_edges(n: int, m: int) -> EnumerationSpec:
+    _check_n(n)
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"no {m}-edge graphs on {n} vertices")
     return EnumerationSpec("connected-with-edges", n, m)

@@ -12,7 +12,10 @@ deterministic and graph6 output is reproducible:
   paths, then the interior of the central path, the second branch vertex,
   and finally its pendant paths;
 * complete-minus-pattern families delete the pattern from the lowest
-  labels of K_n.
+  labels of K_n; the nine patterns of g1..g9 are ``GI_PATTERNS``.
+
+``NAMED_FAMILIES`` is the one table of the families the paper names, by
+report label, for the ordering verifiers and the ``table`` command.
 
 The closed-form Kirchhoff catalog is a ground-truth table of exact
 rationals.  Every entry follows from the cut-vertex decomposition
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, complement, complete_edge_table, make_graph
 
@@ -39,7 +43,7 @@ class NoClosedFormSpectrumError(ValueError):
 
 
 # Edge patterns deleted from K_n for the g1..g9 family, on lowest labels.
-_GI_PATTERNS: dict[int, tuple[tuple[int, int], ...]] = {
+GI_PATTERNS: dict[int, tuple[tuple[int, int], ...]] = {
     1: (),
     2: ((0, 1),),
     3: ((0, 1), (2, 3)),
@@ -93,6 +97,12 @@ def _branches(spec: FamilySpec, value, name: str) -> tuple[int, ...]:
     return value
 
 
+# The kinds whose one parameter is n, with the smallest n each is defined at.
+_MIN_N = {"path": 1, "cycle": 3, "complete": 1, "star": 2, "q3": 6, "r3": 7, "cq3": 7}
+
+# Triangle-with-paths kinds, with how many triangle vertices carry a path.
+_PATH_COUNT = {"tripath": 2, "tripath3": 3}
+
 # Smallest n keeping K_n minus the pattern defined and connected (no vertex
 # of K_n may lose all its incident edges).
 _GI_MIN_N = {1: 2, 2: 3, 3: 4, 4: 4, 5: 6, 6: 5, 7: 4, 8: 4, 9: 5}
@@ -101,22 +111,10 @@ _GI_MIN_N = {1: 2, 2: 3, 3: 4, 4: 4, 5: 6, 6: 5, 7: 4, 8: 4, 9: 5}
 def validate(spec: FamilySpec) -> None:
     """Check the kind's parameter constraints; raise FamilyParameterError."""
     kind = spec.kind
-    if kind == "path":
+    if kind in _MIN_N:
         (n,) = _ints(spec, 1)
-        if n < 1:
-            raise _fail(spec, "path needs n >= 1")
-    elif kind == "cycle":
-        (n,) = _ints(spec, 1)
-        if n < 3:
-            raise _fail(spec, "cycle needs n >= 3")
-    elif kind == "complete":
-        (n,) = _ints(spec, 1)
-        if n < 1:
-            raise _fail(spec, "complete graph needs n >= 1")
-    elif kind == "star":
-        (n,) = _ints(spec, 1)
-        if n < 2:
-            raise _fail(spec, "star needs n >= 2")
+        if n < _MIN_N[kind]:
+            raise _fail(spec, f"{kind} needs n >= {_MIN_N[kind]}")
     elif kind == "starlike":
         if len(spec.args) != 2 or not isinstance(spec.args[0], int):
             raise _fail(spec, "expected (n, branch lengths)")
@@ -140,34 +138,13 @@ def validate(spec: FamilySpec) -> None:
         n, k = _ints(spec, 2)
         if not 3 <= k <= n:
             raise _fail(spec, "lollipop needs 3 <= cycle length <= n")
-    elif kind == "q3":
-        (n,) = _ints(spec, 1)
-        if n < 6:
-            raise _fail(spec, "q3 needs n >= 6")
-    elif kind == "r3":
-        (n,) = _ints(spec, 1)
-        if n < 7:
-            raise _fail(spec, "r3 needs n >= 7")
-    elif kind == "cq3":
-        (n,) = _ints(spec, 1)
-        if n < 7:
-            raise _fail(spec, "cq3 needs n >= 7")
-    elif kind == "tripath":
+    elif kind in _PATH_COUNT:
+        count = _PATH_COUNT[kind]
         if len(spec.args) != 2 or not isinstance(spec.args[0], int):
-            raise _fail(spec, "expected (n, (k1, k2))")
-        n = spec.args[0]
-        ks = spec.args[1]
-        if not (isinstance(ks, tuple) and len(ks) == 2 and all(isinstance(k, int) and k >= 1 for k in ks)):
-            raise _fail(spec, "path lengths must be two positive integers")
-        if 3 + sum(ks) != n:
-            raise _fail(spec, f"path lengths must sum to n-3={n - 3}")
-    elif kind == "tripath3":
-        if len(spec.args) != 2 or not isinstance(spec.args[0], int):
-            raise _fail(spec, "expected (n, (k1, k2, k3))")
-        n = spec.args[0]
-        ks = spec.args[1]
-        if not (isinstance(ks, tuple) and len(ks) == 3 and all(isinstance(k, int) and k >= 1 for k in ks)):
-            raise _fail(spec, "path lengths must be three positive integers")
+            raise _fail(spec, f"expected (n, {count} path lengths)")
+        n, ks = spec.args
+        if not (isinstance(ks, tuple) and len(ks) == count and all(isinstance(k, int) and k >= 1 for k in ks)):
+            raise _fail(spec, f"path lengths must be {count} positive integers")
         if 3 + sum(ks) != n:
             raise _fail(spec, f"path lengths must sum to n-3={n - 3}")
     elif kind == "dumbbell":
@@ -247,33 +224,20 @@ def build(spec: FamilySpec) -> Graph:
         edges = _path_edges(list(range(k))) + [(0, k - 1)]
         _attach_path(edges, 0, n - k, k)
         return make_graph(n, edges)
-    if kind == "q3":
+    if kind in ("q3", "r3", "cq3"):
         (n,) = spec.args
-        g = build(FamilySpec("lollipop", (n - 1, 3)))
-        # pendant at the neighbor of the former pendant vertex n-2
-        return make_graph(n, list(g.edges) + [(n - 3, n - 1)])
-    if kind == "r3":
-        (n,) = spec.args
-        g = build(FamilySpec("lollipop", (n - 1, 3)))
-        # pendant at the vertex two steps from the former pendant vertex
-        return make_graph(n, list(g.edges) + [(n - 4, n - 1)])
-    if kind == "cq3":
-        (n,) = spec.args
-        g = build(FamilySpec("q3", (n - 1,)))
-        # pendant at degree-2 cycle vertex 1 (vertex 2 gives an isomorphic graph)
-        return make_graph(n, list(g.edges) + [(1, n - 1)])
-    if kind == "tripath":
-        n, (k1, k2) = spec.args
+        # one pendant n-1 more than the base on n-1 vertices: q3 hangs it at the
+        # neighbor of the lollipop's pendant vertex n-2, r3 two steps from that
+        # vertex, cq3 at q3's degree-2 cycle vertex 1 (vertex 2 is isomorphic)
+        base = FamilySpec("q3", (n - 1,)) if kind == "cq3" else FamilySpec("lollipop", (n - 1, 3))
+        at = {"q3": n - 3, "r3": n - 4, "cq3": 1}[kind]
+        return make_graph(n, list(build(base).edges) + [(at, n - 1)])
+    if kind in _PATH_COUNT:
+        n, ks = spec.args
         edges = [(0, 1), (1, 2), (0, 2)]
-        nxt = _attach_path(edges, 0, k1, 3)
-        _attach_path(edges, 1, k2, nxt)
-        return make_graph(n, edges)
-    if kind == "tripath3":
-        n, (k1, k2, k3) = spec.args
-        edges = [(0, 1), (1, 2), (0, 2)]
-        nxt = _attach_path(edges, 0, k1, 3)
-        nxt = _attach_path(edges, 1, k2, nxt)
-        _attach_path(edges, 2, k3, nxt)
+        nxt = 3
+        for at, k in enumerate(ks):
+            nxt = _attach_path(edges, at, k, nxt)
         return make_graph(n, edges)
     if kind == "dumbbell":
         p, q, l = spec.args
@@ -294,7 +258,7 @@ def build(spec: FamilySpec) -> Graph:
         return complement(make_graph(n, [(0, v) for v in range(1, p + 1)]))
     if kind == "gi":
         n, i = spec.args
-        return complement(make_graph(n, _GI_PATTERNS[i]))
+        return complement(make_graph(n, GI_PATTERNS[i]))
     raise _fail(spec, f"unknown family kind {kind!r}")
 
 
@@ -327,6 +291,10 @@ def _cubic(n: int, linear: int, constant: int) -> Fraction:
     return Fraction(n**3 + linear * n + constant, 6)
 
 
+# The triangle-with-pendants kinds, each with Kf = (n^3 + linear n + constant)/6.
+_CUBICS = {"q3": (-17, 36), "r3": (-23, 66), "cq3": (-25, 68)}
+
+
 def closed_form_kf(spec: FamilySpec) -> Fraction | None:
     """Exact Kirchhoff index from the catalog, or None when uncatalogued."""
     validate(spec)
@@ -339,12 +307,8 @@ def closed_form_kf(spec: FamilySpec) -> Fraction | None:
         return Fraction(spec.args[0] - 1)
     if kind == "lollipop":
         return _kf_lollipop(*spec.args)
-    if kind == "q3":
-        return _cubic(spec.args[0], -17, 36)
-    if kind == "r3":
-        return _cubic(spec.args[0], -23, 66)
-    if kind == "cq3":
-        return _cubic(spec.args[0], -25, 68)
+    if kind in _CUBICS:
+        return _cubic(spec.args[0], *_CUBICS[kind])
     if kind == "starlike":
         n, branches = spec.args
         key = tuple(sorted(branches, reverse=True))
@@ -459,3 +423,38 @@ def parse_family(text: str) -> FamilySpec:
     spec = FamilySpec(kind, tuple(args))
     validate(spec)
     return spec
+
+
+class NamedFamily(NamedTuple):
+    table: str | None
+    spec: Callable[[int], FamilySpec]
+
+
+def _starlike(n: int, *branches: int) -> FamilySpec:
+    return FamilySpec("starlike", (n, tuple(sorted(branches, reverse=True))))
+
+
+# Every named family, by report label, with its ``table`` command name (None
+# when the command does not sweep it) and its member at n.  The tree and
+# max-ordering chains and the table command all read this one table.
+NAMED_FAMILIES: dict[str, NamedFamily] = {
+    "path": NamedFamily("path", lambda n: FamilySpec("path", (n,))),
+    "T(n-3,1,1)": NamedFamily(None, lambda n: _starlike(n, n - 3, 1, 1)),
+    "T(n-4,2,1)": NamedFamily("t421", lambda n: _starlike(n, n - 4, 2, 1)),
+    "T(1,1;1,1)": NamedFamily(None, lambda n: FamilySpec("doublebranch", (n, (1, 1), (1, 1)))),
+    "T(n-5,3,1)": NamedFamily("t531", lambda n: _starlike(n, n - 5, 3, 1)),
+    "T(n-4,1,1,1)": NamedFamily(None, lambda n: _starlike(n, n - 4, 1, 1, 1)),
+    "T(1,1;2,1)": NamedFamily("b1221", lambda n: FamilySpec("doublebranch", (n, (1, 1), (2, 1)))),
+    "T(n-6,4,1)": NamedFamily("t641", lambda n: _starlike(n, n - 6, 4, 1)),
+    "P3-lollipop": NamedFamily("p3", lambda n: FamilySpec("lollipop", (n, 3))),
+    "Q3": NamedFamily("q3", lambda n: FamilySpec("q3", (n,))),
+    "C33-dumbbell": NamedFamily("c33", lambda n: FamilySpec("dumbbell", (3, 3, n - 5))),
+    "R3": NamedFamily("r3", lambda n: FamilySpec("r3", (n,))),
+    "P4-lollipop": NamedFamily("p4", lambda n: FamilySpec("lollipop", (n, 4))),
+    "P5-lollipop": NamedFamily("p5", lambda n: FamilySpec("lollipop", (n, 5))),
+    "cycle": NamedFamily("cycle", lambda n: FamilySpec("cycle", (n,))),
+    "complete": NamedFamily("complete", lambda n: FamilySpec("complete", (n,))),
+    "C3(1,n-4)": NamedFamily("c31", lambda n: FamilySpec("tripath", (n, (1, n - 4)))),
+    "C3(2,n-5)": NamedFamily("c32", lambda n: FamilySpec("tripath", (n, (2, n - 5)))),
+    "CQ3": NamedFamily(None, lambda n: FamilySpec("cq3", (n,))),
+}

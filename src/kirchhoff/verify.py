@@ -37,7 +37,7 @@ from .enumeration import (
     prufer_decode,
     tied,
 )
-from .families import FamilySpec, build, closed_form_kf
+from .families import GI_PATTERNS, NAMED_FAMILIES, FamilySpec, build, closed_form_kf
 from .graphs import (
     Graph,
     complement,
@@ -59,6 +59,12 @@ from .spectral import (
 )
 
 VALUE_TOL = 1e-9
+
+
+def _reproduces(x: float, exact: Fraction | float) -> bool:
+    """Whether a float reproduces an exact value, to VALUE_TOL relative (absolute below 1)."""
+    e = float(exact)
+    return abs(x - e) <= VALUE_TOL * max(1.0, e)
 
 
 class ParamOutOfRangeError(ValueError):
@@ -106,21 +112,8 @@ def complement_shape(g: Graph) -> ComplementShape:
     return _shape_of_edges(list(complement(g).edges))
 
 
-def _pattern_index(edges: tuple[tuple[int, int], ...]) -> int | None:
-    """Which of the nine named small deletion patterns a <=3-edge set is."""
-    shape = _shape_of_edges(list(edges))
-    table = {
-        ("empty", None): 1,
-        ("matching", 1): 2,
-        ("matching", 2): 3,
-        ("star", 2): 4,
-        ("matching", 3): 5,
-        ("pattern", "k12+k2"): 6,
-        ("pattern", "p4"): 7,
-        ("pattern", "c3"): 8,
-        ("star", 3): 9,
-    }
-    return table.get((shape.kind, shape.detail))
+# Which of the nine named small deletion patterns g1..g9 has each shape.
+_PATTERN_INDEX = {_shape_of_edges(list(edges)): i for i, edges in GI_PATTERNS.items()}
 
 
 def count_labeled_matchings(n: int, p: int) -> int:
@@ -501,12 +494,11 @@ def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
     report = VerificationReport("lower-bound", {"n": n, "p": p})
     spec = enum.deleted_edges(n, p)
     bound = bound_eval(n, p).lower_kf
-    bound_f = float(bound)
     scan = enum.scan_subsets(spec, "min", 1, jobs, budget)
     report.checked_count = scan.checked
     groups = enum.value_groups(scan.vals, scan.ranks, "min", 1)
     lead, member_ranks = groups[0]
-    if abs(lead - bound_f) > VALUE_TOL * max(1.0, bound_f):
+    if not _reproduces(lead, bound):
         report.fail("-", f"min Kf {format_real(lead)}", f"bound {format_exact(bound)}")
     expected_count = count_labeled_matchings(n, p)
     if member_ranks.size != expected_count:
@@ -560,7 +552,7 @@ def _upper_bound_kernel(spec: EnumerationSpec, rank0: int, subs: np.ndarray) -> 
                 f"full {format_exact(rec.upper_kf_full)}",
                 f"<= simple {format_exact(rec.upper_kf_simple)}",
             ))
-        tight = abs(kf - full_f) <= VALUE_TOL * max(1.0, full_f)
+        tight = _reproduces(kf, full_f)
         if tight != is_star:
             failures.append(_failure(
                 g,
@@ -583,9 +575,8 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     report.counterexamples.extend(scan.failures)
     star = build(FamilySpec("kn-minus-star", (n, p)))
     star_kf = closed_form_kf(FamilySpec("kn-minus-star", (n, p)))
-    star_kf_f = float(star_kf)
     max_kf = float(scan.vals.max())
-    if abs(max_kf - star_kf_f) > VALUE_TOL * max(1.0, star_kf_f):
+    if not _reproduces(max_kf, star_kf):
         report.fail("-", f"max Kf {format_real(max_kf)}", f"Kf of star deletion {format_exact(star_kf)}")
     expected = count_labeled_stars(n, p)
     if scan.ranks.size != expected:
@@ -663,7 +654,7 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
         report.checked_count += scan.checked
         for rows in scan.by_key.values():
             ranks = np.sort(rows.ranks)
-            pattern = _pattern_index(complement(member(spec, int(ranks[0]))).edges)
+            pattern = _PATTERN_INDEX.get(complement_shape(member(spec, int(ranks[0]))))
             if pattern is not None:
                 per_pattern[pattern] = rows.vals
                 continue
@@ -681,7 +672,7 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
             report.fail("-", f"g{i} Kf spread {spread:.2e}", "identical across labelings")
         values[i] = float(vals.min())
         form = closed_form_kf(FamilySpec("gi", (n, i)))
-        if form is not None and abs(values[i] - float(form)) > VALUE_TOL * max(1.0, float(form)):
+        if form is not None and not _reproduces(values[i], form):
             report.fail("-", f"g{i} Kf {format_real(values[i])}", f"closed form {format_exact(form)}")
         g = build(FamilySpec("gi", (n, i)))
         report.extremal_witnesses.append(
@@ -702,32 +693,6 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
-def _named_families(n: int) -> dict[str, FamilySpec]:
-    """Every family the tree and max-ordering chains name, by report label."""
-    def star(*branches):
-        return FamilySpec("starlike", (n, tuple(sorted(branches, reverse=True))))
-
-    return {
-        "path": FamilySpec("path", (n,)),
-        "T(n-3,1,1)": star(n - 3, 1, 1),
-        "T(n-4,2,1)": star(n - 4, 2, 1),
-        "T(1,1;1,1)": FamilySpec("doublebranch", (n, (1, 1), (1, 1))),
-        "T(n-5,3,1)": star(n - 5, 3, 1),
-        "T(n-4,1,1,1)": star(n - 4, 1, 1, 1),
-        "T(1,1;2,1)": FamilySpec("doublebranch", (n, (1, 1), (2, 1))),
-        "T(n-6,4,1)": star(n - 6, 4, 1),
-        "P3-lollipop": FamilySpec("lollipop", (n, 3)),
-        "Q3": FamilySpec("q3", (n,)),
-        "C33-dumbbell": FamilySpec("dumbbell", (3, 3, n - 5)),
-        "R3": FamilySpec("r3", (n,)),
-        "P4-lollipop": FamilySpec("lollipop", (n, 4)),
-        "cycle": FamilySpec("cycle", (n,)),
-        "C3(1,n-4)": FamilySpec("tripath", (n, (1, n - 4))),
-        "C3(2,n-5)": FamilySpec("tripath", (n, (2, n - 5))),
-        "CQ3": FamilySpec("cq3", (n,)),
-    }
-
-
 _TREE_CHAIN = (
     "path", "T(n-3,1,1)", "T(n-4,2,1)", "T(1,1;1,1)", "T(n-5,3,1)", "T(n-4,1,1,1)", "T(1,1;2,1)", "T(n-6,4,1)",
 )
@@ -744,8 +709,7 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
     if n < 9:
         raise ParamOutOfRangeError("tree ordering is stated for n >= 9")
     report = VerificationReport("tree-ordering", {"n": n})
-    families = _named_families(n)
-    graphs = [(label, build(families[label])) for label in _TREE_CHAIN]
+    graphs = [(label, build(NAMED_FAMILIES[label].spec(n))) for label in _TREE_CHAIN]
     w_vals = [wiener(g) for _, g in graphs]
     for i, ((label, g), w) in enumerate(zip(graphs, w_vals), start=1):
         report.extremal_witnesses.append(
@@ -830,10 +794,9 @@ def _witness_family_check(
 ) -> None:
     """Shared witness adjudication: value, uniqueness count, and isomorphism."""
     expected = closed_form_kf(family)
-    expected_f = float(expected)
     model = build(family)
     rep = member(spec, int(member_ranks[0]))
-    if abs(lead - expected_f) > VALUE_TOL * max(1.0, expected_f):
+    if not _reproduces(lead, expected):
         report.fail(
             graph6_encode(rep),
             f"max Kf {format_real(lead)}",
@@ -898,7 +861,7 @@ def _verify_bicyclic_max(params, budget, jobs) -> VerificationReport:
     lead, member_ranks = groups[0]
     _witness_family_check(
         report, 1, lead, member_ranks, spec,
-        FamilySpec("dumbbell", (3, 3, n - 5)), f"dumbbell(3,3,{n - 5})",
+        NAMED_FAMILIES["C33-dumbbell"].spec(n), f"dumbbell(3,3,{n - 5})",
     )
     return report.finalize()
 
@@ -911,7 +874,7 @@ def _checked_family_kf(report: VerificationReport, label: str, spec: FamilySpec)
     if exact is None:
         exact = Fraction(wiener(g))  # trees: Kf equals the Wiener index
     numeric = kf_spectral(g)
-    if abs(numeric - float(exact)) > VALUE_TOL * max(1.0, float(exact)):
+    if not _reproduces(numeric, exact):
         report.fail(
             graph6_encode(g),
             f"{label} numeric {format_real(numeric)}",
@@ -925,10 +888,9 @@ def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
     if n < 10:
         raise ParamOutOfRangeError("max-ordering chain needs n >= 10 (distinct families)")
     report = VerificationReport("max-ordering", {"n": n})
-    families = _named_families(n)
     values, labels = [], _MAX_CHAIN
     for rank, label in enumerate(labels, start=1):
-        g, exact, _ = _checked_family_kf(report, label, families[label])
+        g, exact, _ = _checked_family_kf(report, label, NAMED_FAMILIES[label].spec(n))
         values.append(exact)
         report.extremal_witnesses.append(Witness(rank, graph6_encode(g), float(exact), 1))
     checked = len(labels)
@@ -950,7 +912,7 @@ def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
             )
     ceiling = values[-1]  # dumbbell(3,3,n-5)
     for label in _MAX_BELOW:
-        g, exact, numeric = _checked_family_kf(report, label, families[label])
+        g, exact, numeric = _checked_family_kf(report, label, NAMED_FAMILIES[label].spec(n))
         checked += 1
         if not exact < ceiling:
             report.fail(

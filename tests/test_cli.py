@@ -142,6 +142,21 @@ class TestSearchCommand:
         code, out, err = run(capsys, "search", "--deleted-edges", "4,6", "--min")
         assert code == 2 and out == "" and "no connected member" in err
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (("search", "--connected", "1,0", "--max"), 1),
+            (("search", "--deleted-edges", "1,0", "--min"), 1),
+            (("search", "--deleted-edges", "64,1", "--min"), 64),
+            (("verify", "--theorem", "lower-bound", "--n", "64", "--p", "2"), 64),
+        ],
+        ids=["connected-1", "deleted-edges-1", "deleted-edges-64", "lower-bound-64"],
+    )
+    def test_vertex_count_outside_2_to_62_exit_two(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: enumeration spaces need 2 <= n <= 62, got n={n}\n"
+
     def test_objective_required(self, capsys):
         code, _, err = run(capsys, "search", "--trees", "6")
         assert code == 2 and "--min" in err
@@ -173,6 +188,19 @@ class TestTableCommand:
         assert code == 0
         assert out.splitlines()[1:] == ["path,2,1,1,0", "path,3,4,4,0"]
         assert "warning: skipping path at n=1: " in err
+
+    def test_starlike_rows_at_every_valid_size(self, capsys):
+        code, out, err = run(capsys, "table", "--families", "t421,t531,t641", "--n", "5..9")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(r[0], int(r[1])) for r in rows] == (
+            [("t421", n) for n in range(5, 10)]
+            + [("t531", n) for n in range(6, 10)]
+            + [("t641", n) for n in range(7, 10)]
+        )
+        assert all(float(r[4]) < 1e-9 for r in rows)
+        skipped = [line.split(": ")[1] for line in err.splitlines()]
+        assert skipped == ["skipping t531 at n=5", "skipping t641 at n=5", "skipping t641 at n=6"]
 
     def test_reversed_range_exit_two(self, capsys):
         code, out, err = run(capsys, "table", "--families", "path", "--n", "7..5")

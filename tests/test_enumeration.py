@@ -45,6 +45,17 @@ class TestCardinalityAndBudget:
         assert len(trees) == 125 and len(set(trees)) == 125
         assert all(t.m == 4 and is_connected(t) for t in trees)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: deleted_edges(n, 1), labeled_trees, lambda n: connected_with_edges(n, n - 1)],
+        ids=["deleted-edges", "labeled-trees", "connected-with-edges"],
+    )
+    def test_every_space_holds_2_to_62_vertices(self, make):
+        assert make(2).n == 2 and make(62).n == 62
+        for n in (1, 63):
+            with pytest.raises(ValueError, match=rf"^enumeration spaces need 2 <= n <= 62, got n={n}$"):
+                make(n)
+
     def test_budget_refusal_carries_cardinality(self):
         with pytest.raises(BudgetExceededError) as err:
             check_budget(deleted_edges(40, 20))

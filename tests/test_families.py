@@ -100,11 +100,23 @@ class TestBuild:
             FamilySpec("kn-minus-star", (6, 5)),
             FamilySpec("tripath", (9, (2, 3))),
             FamilySpec("gi", (4, 5)),
-            FamilySpec("q3", (5,)),
         ]
+        smallest = {"path": 1, "cycle": 3, "complete": 1, "star": 2, "q3": 6, "r3": 7, "cq3": 7}
+        bad += [FamilySpec(kind, (n - 1,)) for kind, n in smallest.items()]
         for spec in bad:
             with pytest.raises(FamilyParameterError):
                 build(spec)
+        for kind, n in smallest.items():
+            assert build(FamilySpec(kind, (n,))).n == n
+
+    def test_tripath_labelings(self):
+        # path k1 hangs at triangle vertex 0, k2 at 1, k3 at 2, labels in that order
+        assert build(parse_family("tripath:9,(1,5)")).edges == (
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (4, 5), (5, 6), (6, 7), (7, 8),
+        )
+        assert build(parse_family("tripath3:9,(3,2,1)")).edges == (
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 6), (2, 8), (3, 4), (4, 5), (6, 7),
+        )
 
 
 class TestClosedFormKf:
