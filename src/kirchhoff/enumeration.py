@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import Graph, complete_edge_table, is_connected, make_graph
-from .spectral import zero_tolerance
+from .spectral import batch_determinant, check_tree_counts, zero_tolerance
 
 DEFAULT_BUDGET = 10**8
 
@@ -224,15 +224,15 @@ def prufer_steps(n: int, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndar
 
 
 @lru_cache(maxsize=None)
-def _edge_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (u, v) of E(K_n) in table order."""
-    return tuple(np.array(complete_edge_table(n), dtype=np.int64).reshape(-1, 2).T)
+def _edge_table(n: int) -> np.ndarray:
+    """(m, 2) endpoints of E(K_n) in table order."""
+    return np.array(complete_edge_table(n), dtype=np.int64).reshape(-1, 2)
 
 
 @lru_cache(maxsize=None)
 def _edge_bits(n: int) -> np.ndarray:
     """(n, m) int64: column e holds edge e's bit in each vertex's neighbour bitmask."""
-    eu, ev = _edge_endpoints(n)
+    eu, ev = _edge_table(n).T
     bits = np.zeros((n, eu.size), dtype=np.int64)
     bits[eu, np.arange(eu.size)] = np.left_shift(1, ev)
     bits[ev, np.arange(eu.size)] = np.left_shift(1, eu)
@@ -258,41 +258,62 @@ def batch_connected(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
             return reach == (1 << n) - 1
 
 
+def batch_ends(n: int, subsets: np.ndarray) -> np.ndarray:
+    """(B, k, 2) endpoints of the edges each subset row selects: a block's one
+    gather, from which its degrees and Laplacians are built."""
+    return _edge_table(n)[subsets]
+
+
 def batch_adjacency(n: int, subsets: np.ndarray, dtype) -> np.ndarray:
     """(B, n, n) adjacency matrices of the graphs whose edges the subset rows select."""
-    eu, ev = _edge_endpoints(n)
+    ends = batch_ends(n, subsets)
     A = np.zeros((subsets.shape[0], n, n), dtype=dtype)
     rows = np.arange(subsets.shape[0])[:, None]
-    A[rows, eu[subsets], ev[subsets]] = 1
-    A[rows, ev[subsets], eu[subsets]] = 1
+    A[rows, ends[..., 0], ends[..., 1]] = 1
+    A[rows, ends[..., 1], ends[..., 0]] = 1
     return A
 
 
-def batch_degrees(n: int, subsets: np.ndarray) -> np.ndarray:
-    """(B, n) vertex degrees of the graphs whose edges the subset rows select."""
-    eu, ev = _edge_endpoints(n)
-    B = subsets.shape[0]
-    ends = np.hstack([eu[subsets], ev[subsets]]) + n * np.arange(B)[:, None]
-    return np.bincount(ends.ravel(), minlength=B * n).reshape(B, n)
+def batch_degrees(n: int, ends: np.ndarray) -> np.ndarray:
+    """(B, n) vertex degrees of the selected edges, from a block's (B, k, 2) endpoints."""
+    B = ends.shape[0]
+    flat = ends.reshape(B, 2 * ends.shape[1]) + n * np.arange(B)[:, None]
+    return np.bincount(flat.ravel(), minlength=B * n).reshape(B, n)
 
 
-def batch_eigenvalues(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
-    """Ascending Laplacian eigenvalues for each subset row.
+def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, dtype=float) -> np.ndarray:
+    """(B, n, n) Laplacians of the graphs a block's endpoints and degrees describe.
 
-    Rows select edges of K_n by index; ``deleted`` interprets the subset as
-    removed from K_n rather than as the edge set itself.  Off-diagonal zeros
-    are -0.0, as -A gives: LAPACK's Householder step reads the sign of zero.
+    ``deleted`` interprets the selected edges as removed from K_n rather
+    than as the edge set itself.  Off-diagonal zeros are -0.0, as -A gives:
+    LAPACK's Householder step reads the sign of zero.
     """
-    deg = batch_degrees(n, subsets)
-    eu, ev = _edge_endpoints(n)
-    B = subsets.shape[0]
-    u, v = eu[subsets], ev[subsets]
+    B = ends.shape[0]
     rows = np.arange(B)[:, None]
-    L = np.full((B, n, n), -1.0 if deleted else -0.0)
-    L[rows, u, v] = L[rows, v, u] = -0.0 if deleted else -1.0
+    L = np.full((B, n, n), -1.0 if deleted else -0.0, dtype=dtype)
+    L[rows, ends[..., 0], ends[..., 1]] = L[rows, ends[..., 1], ends[..., 0]] = -0.0 if deleted else -1.0
     diag = np.arange(n)
     L[:, diag, diag] = n - 1 - deg if deleted else deg
-    return np.linalg.eigvalsh(L)
+    return L
+
+
+def batch_eigenvalues(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool) -> np.ndarray:
+    """Ascending Laplacian eigenvalues for each row of a block (see batch_laplacian)."""
+    return np.linalg.eigvalsh(batch_laplacian(n, ends, deg, deleted))
+
+
+def batch_tree_counts(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, eigs: np.ndarray) -> np.ndarray:
+    """Exact spanning-tree count of each row of a block: the determinant of its
+    reduced Laplacian (int64, or Python ints where int64 could overflow),
+    cross-checked against the row's ascending eigenvalues ``eigs``.
+
+    An int8 Laplacian holds every entry (degrees are at most 61), so only
+    the (B, n-1, n-1) minor is a full-width integer copy.
+    """
+    minor = batch_laplacian(n, ends, deg, deleted, np.int8)[:, 1:, 1:]
+    counts = batch_determinant(minor)
+    check_tree_counts(counts, np.prod(eigs[:, 1:], axis=1) / n)
+    return counts
 
 
 def batch_kf(n: int, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +497,8 @@ def merge_subset_scans(objective: str, top: float, parts: list[SubsetScan]) -> S
 
 def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
     idx = np.flatnonzero(batch_connected(n, subs, deleted))
-    _, kf = batch_kf(n, batch_eigenvalues(n, subs[idx], deleted))
+    ends = batch_ends(n, subs[idx])
+    _, kf = batch_kf(n, batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted))
     if classify is None:
         pooled = _pool_top_groups(kf, rank0 + idx, objective, top)
         return SubsetScan(subs.shape[0], idx.size, *pooled)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .graphs import Graph, complement, complete_edge_table, make_graph
+from .graphs import Graph, complement, complete_edge_table, is_connected, make_graph
 
 
 class FamilyParameterError(ValueError):
@@ -54,6 +54,39 @@ GI_PATTERNS: dict[int, tuple[tuple[int, int], ...]] = {
     8: ((0, 1), (1, 2), (0, 2)),
     9: ((0, 1), (0, 2), (0, 3)),
 }
+
+
+class ComplementShape(NamedTuple):
+    kind: str  # empty | matching | star | pattern | other
+    detail: int | str | None
+
+
+def edge_shape(edges: list[tuple[int, int]]) -> ComplementShape:
+    """Classify an edge set, restricted to its non-isolated vertices."""
+    m = len(edges)
+    if m == 0:
+        return ComplementShape("empty", None)
+    deg: dict[int, int] = {}
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    degs = sorted(deg.values(), reverse=True)
+    if degs[0] == 1:
+        return ComplementShape("matching", m)
+    if degs[0] == m and all(d == 1 for d in degs[1:]):
+        return ComplementShape("star", m)
+    if m == 3:
+        if degs == [2, 2, 2]:
+            return ComplementShape("pattern", "c3")
+        if degs == [2, 2, 1, 1]:
+            return ComplementShape("pattern", "p4")
+        if degs == [2, 1, 1, 1, 1]:
+            return ComplementShape("pattern", "k12+k2")
+    return ComplementShape("other", None)
+
+
+# The shape of each pattern, which decides its closed form and tells the nine apart.
+GI_SHAPES = {i: edge_shape(list(edges)) for i, edges in GI_PATTERNS.items()}
 
 
 @dataclass(frozen=True)
@@ -103,9 +136,16 @@ _MIN_N = {"path": 1, "cycle": 3, "complete": 1, "star": 2, "q3": 6, "r3": 7, "cq
 # Triangle-with-paths kinds, with how many triangle vertices carry a path.
 _PATH_COUNT = {"tripath": 2, "tripath3": 3}
 
-# Smallest n keeping K_n minus the pattern defined and connected (no vertex
-# of K_n may lose all its incident edges).
-_GI_MIN_N = {1: 2, 2: 3, 3: 4, 4: 4, 5: 6, 6: 5, 7: 4, 8: 4, 9: 5}
+
+def _gi_min_n(edges: tuple[tuple[int, int], ...]) -> int:
+    """Smallest n >= 2 holding the pattern's labels with K_n minus the pattern connected."""
+    n = max((v + 1 for e in edges for v in e), default=2)
+    while not is_connected(complement(make_graph(n, edges))):
+        n += 1
+    return n
+
+
+_GI_MIN_N = {i: _gi_min_n(edges) for i, edges in GI_PATTERNS.items()}
 
 
 def validate(spec: FamilySpec) -> None:
@@ -345,12 +385,13 @@ def closed_form_kf(spec: FamilySpec) -> Fraction | None:
         return _kf_kn_minus_star(*spec.args)
     if kind == "gi":
         n, i = spec.args
-        if i == 1:
+        shape, size = GI_SHAPES[i]
+        if shape == "empty":
             return Fraction(n - 1)
-        if i in (2, 3, 5):
-            return _kf_kn_minus_matching(n, {2: 1, 3: 2, 5: 3}[i])
-        if i in (4, 9):
-            return _kf_kn_minus_star(n, {4: 2, 9: 3}[i])
+        if shape == "matching":
+            return _kf_kn_minus_matching(n, size)
+        if shape == "star":
+            return _kf_kn_minus_star(n, size)
         return None
     return None
 

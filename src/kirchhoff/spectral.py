@@ -157,27 +157,40 @@ def wiener(g: Graph) -> int:
     return total // 2
 
 
-def _bareiss_determinant(mat: list[list[int]]) -> int:
-    """Fraction-free elimination; exact determinant of an integer matrix."""
-    a = [row[:] for row in mat]
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def batch_determinant(a: np.ndarray) -> np.ndarray:
+    """Exact determinants of a (B, s, s) stack of integer positive semidefinite matrices.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) without
+    pivoting: the k-th pivot is the leading k x k principal minor, and a
+    PSD matrix with a zero leading minor is singular, so a zero pivot sets
+    that row's determinant to 0.  Every entry at elimination step k is a
+    (k+1)-minor, at most r^((k+1)/2) in size for a squared row norm bound
+    r (Hadamard), so the step's products stay below 2 r^(k+1).  Steps run
+    in int64 while that bound fits and in Python ints (object dtype) after,
+    with the same code; an object-dtype input stays in Python ints.
+    """
+    B, s = a.shape[0], a.shape[-1]
+    if s == 0:
+        return np.ones(B, dtype=np.int64)
+    big = a.dtype == object
+    a = np.array(a, dtype=object if big else np.int64)
+    r = int(np.einsum("bij,bij->bi", a, a).max(initial=0))
+    prev = np.ones(B, dtype=a.dtype)
+    for k in range(s - 1):
+        if not big and 2 * r ** (k + 1) > np.iinfo(np.int64).max:
+            big = True
+            a, prev = a.astype(object), prev.astype(object)
+        piv = a[:, k, k].copy()
+        dead = piv == 0
+        if dead.any():
+            a[dead, k:, k:] = 0
+            piv[dead] = 1
+        rest = a[:, k + 1 :, k + 1 :]
+        rest *= piv[:, None, None]
+        rest -= a[:, k + 1 :, k, None] * a[:, k, None, k + 1 :]
+        rest //= prev[:, None, None]
+        prev = piv
+    return a[:, -1, -1]
 
 
 # The spectral product accumulates ~n*eps relative error, so exact rounding
@@ -186,34 +199,40 @@ _CROSSCHECK_EXACT = 2**44
 _CROSSCHECK_LIMIT = 2**50
 
 
+def check_tree_counts(counts: np.ndarray, products: np.ndarray) -> None:
+    """The one matrix-tree cross-check: each exact spanning-tree count against
+    its floating spectral product prod(mu_i)/n, with exact rounding agreement
+    below 2**44, agreement within 1e-9 relative up to 2**50, none beyond.
+    Raises ConvergenceFailureError at the first row that disagrees."""
+    t = counts.astype(float)
+    exact = products < _CROSSCHECK_EXACT
+    band = ~exact & (products < _CROSSCHECK_LIMIT)
+    mismatch = exact & (np.round(products) != t)
+    mismatch |= band & (np.abs(products - t) > 1e-9 * np.maximum(1.0, t))
+    if mismatch.any():
+        i = int(np.argmax(mismatch))
+        raise ConvergenceFailureError(
+            f"matrix-tree cross-check failed: determinant {counts[i]}, "
+            f"spectral product {float(products[i])!r}"
+        )
+
+
 def tree_count(g: Graph) -> int:
     """Number of spanning trees, exactly.
 
-    Computed as the determinant of the reduced Laplacian (row/column 0
-    removed) over arbitrary-precision integers; returns 0 for disconnected
-    graphs.  The floating spectral product prod(mu_i)/n cross-checks the
-    determinant: exact rounding agreement below 2**44, agreement within
-    1e-9 relative up to 2**50, skipped beyond.
+    The determinant of the reduced Laplacian (row/column 0 removed), from
+    :func:`batch_determinant`; 0 for disconnected graphs.  The floating
+    spectral product cross-checks it (:func:`check_tree_counts`).
     """
     if g.n == 0:
         raise ValueError("spanning trees need at least one vertex")
     if g.n == 1:
         return 1
-    count = _bareiss_determinant(laplacian_matrix(g)[1:, 1:].astype(np.int64).tolist())
+    count = batch_determinant(laplacian_matrix(g)[None, 1:, 1:].astype(np.int64))
     spec = laplacian_spectrum(g)
     product = float(np.prod(spec.values[:-1])) / g.n if spec.zero_multiplicity == 1 else 0.0
-    if product < _CROSSCHECK_EXACT:
-        mismatch = round(product) != count
-    elif product < _CROSSCHECK_LIMIT:
-        mismatch = abs(product - count) > 1e-9 * max(1.0, float(count))
-    else:
-        mismatch = False
-    if mismatch:
-        raise ConvergenceFailureError(
-            f"matrix-tree cross-check failed: determinant {count}, "
-            f"spectral product {product!r}"
-        )
-    return count
+    check_tree_counts(count, np.array([product]))
+    return int(count[0])
 
 
 def mu1_bounds(g: Graph) -> tuple[int, int]:

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,15 @@ from .enumeration import (
     prufer_decode,
     tied,
 )
-from .families import GI_PATTERNS, NAMED_FAMILIES, FamilySpec, build, closed_form_kf
+from .families import (
+    GI_SHAPES,
+    NAMED_FAMILIES,
+    ComplementShape,
+    FamilySpec,
+    build,
+    closed_form_kf,
+    edge_shape,
+)
 from .graphs import (
     Graph,
     complement,
@@ -61,10 +69,11 @@ from .spectral import (
 VALUE_TOL = 1e-9
 
 
-def _reproduces(x: float, exact: Fraction | float) -> bool:
-    """Whether a float reproduces an exact value, to VALUE_TOL relative (absolute below 1)."""
-    e = float(exact)
-    return abs(x - e) <= VALUE_TOL * max(1.0, e)
+def _reproduces(x, exact):
+    """Whether a float reproduces an exact value, to VALUE_TOL relative (absolute
+    below 1); elementwise on arrays of floats."""
+    e = exact if isinstance(exact, np.ndarray) else float(exact)
+    return np.abs(x - e) <= VALUE_TOL * np.maximum(1.0, e)
 
 
 class ParamOutOfRangeError(ValueError):
@@ -79,41 +88,13 @@ class MalformedInputError(ValueError):
 # Structural classification
 
 
-class ComplementShape(NamedTuple):
-    kind: str  # empty | matching | star | pattern | other
-    detail: int | str | None
-
-
-def _shape_of_edges(edges: list[tuple[int, int]]) -> ComplementShape:
-    m = len(edges)
-    if m == 0:
-        return ComplementShape("empty", None)
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    degs = sorted(deg.values(), reverse=True)
-    if degs[0] == 1:
-        return ComplementShape("matching", m)
-    if degs[0] == m and all(d == 1 for d in degs[1:]):
-        return ComplementShape("star", m)
-    if m == 3:
-        if degs == [2, 2, 2]:
-            return ComplementShape("pattern", "c3")
-        if degs == [2, 2, 1, 1]:
-            return ComplementShape("pattern", "p4")
-        if degs == [2, 1, 1, 1, 1]:
-            return ComplementShape("pattern", "k12+k2")
-    return ComplementShape("other", None)
-
-
 def complement_shape(g: Graph) -> ComplementShape:
     """Classify the complement restricted to its non-isolated vertices."""
-    return _shape_of_edges(list(complement(g).edges))
+    return edge_shape(list(complement(g).edges))
 
 
 # Which of the nine named small deletion patterns g1..g9 has each shape.
-_PATTERN_INDEX = {_shape_of_edges(list(edges)): i for i, edges in GI_PATTERNS.items()}
+_PATTERN_INDEX = {shape: i for i, shape in GI_SHAPES.items()}
 
 
 def count_labeled_matchings(n: int, p: int) -> int:
@@ -225,6 +206,15 @@ class BoundRecord:
     upper_kf_simple: Fraction | None
 
 
+def _upper_bounds(n: int, p: int, delta: int, t: int) -> tuple[Fraction, Fraction]:
+    """(full, simple) upper bounds on Kf after p deletions from K_n, for a graph
+    with minimum degree ``delta`` and ``t`` spanning trees."""
+    base = Fraction(n - 1 - p) + Fraction(n, n - p - 1)
+    full = base + Fraction((p - 1) * delta * n ** (n - p - 1) * (n - 1) ** (p - 2), t)
+    simple = base + Fraction(n * (p - 1) * delta, (n - 1) * (n - p - 1))
+    return full, simple
+
+
 def bound_eval(n: int, p: int, g: Graph | None = None) -> BoundRecord:
     """Exact bound values for p deletions from K_n.
 
@@ -239,13 +229,10 @@ def bound_eval(n: int, p: int, g: Graph | None = None) -> BoundRecord:
     if g is not None:
         if g.n != n:
             raise ParamOutOfRangeError(f"graph has {g.n} vertices, expected {n}")
-        t = tree_count(g)
-        if t == 0:
+        if not is_connected(g):
             raise DisconnectedGraphError(connected_components(g))
         delta = min(g.degree(v) for v in range(n))
-        base = Fraction(n - 1 - p) + Fraction(n, n - p - 1)
-        full = base + Fraction((p - 1) * delta * n ** (n - p - 1) * (n - 1) ** (p - 2), t)
-        simple = base + Fraction(n * (p - 1) * delta, (n - 1) * (n - p - 1))
+        full, simple = _upper_bounds(n, p, delta, tree_count(g))
     return BoundRecord(n, p, lower, t_lower, full, simple)
 
 
@@ -476,19 +463,6 @@ def _deleted_space_params(params: dict) -> tuple[int, int]:
     return n, p
 
 
-def _connected_deletions(spec: EnumerationSpec, subs: np.ndarray) -> Iterator[tuple[int, Graph]]:
-    """(row index, K_n minus the row's edges) for each connected row of a block."""
-    for i, row in enumerate(subs.tolist()):
-        g = enum.row_graph(spec, row)
-        if is_connected(g):
-            yield i, g
-
-
-def _star_rows(n: int, p: int, subs: np.ndarray) -> np.ndarray:
-    """Which rows delete a star: for p >= 2 edges, exactly when one vertex meets all p."""
-    return enum.batch_degrees(n, subs).max(axis=1) == p
-
-
 def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("lower-bound", {"n": n, "p": p})
@@ -530,39 +504,58 @@ def _failure(g: Graph, observed: str, expected: str) -> Counterexample:
     return Counterexample(graph6_encode(g), observed, expected)
 
 
+def _deletion_block(spec: EnumerationSpec, subs: np.ndarray):
+    """(row indices, Kf, spanning-tree count, max deleted degree) of a block's
+    connected rows, from one endpoint gather and one eigensolve."""
+    n = spec.n
+    idx = np.flatnonzero(enum.batch_connected(n, subs, True))
+    ends = enum.batch_ends(n, subs[idx])
+    deg = enum.batch_degrees(n, ends)
+    eigs = enum.batch_eigenvalues(n, ends, deg, True)
+    _, kf = enum.batch_kf(n, eigs)
+    return idx, kf, enum.batch_tree_counts(n, ends, deg, True, eigs), deg.max(axis=1)
+
+
+def _distinct_pairs(n: int, delta: np.ndarray, t: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The distinct (delta, t) pairs of a block, 0 <= delta < n, and each row's index among them."""
+    t_vals, t_which = np.unique(t, return_inverse=True)
+    keys, which = np.unique(t_which * n + delta, return_inverse=True)
+    return [(k % n, int(t_vals[k // n])) for k in keys.tolist()], which
+
+
 def _upper_bound_kernel(spec: EnumerationSpec, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
-    """Per-row checks of the full and simple upper bounds and their equality case;
-    the Kf of every connected row goes to the pool, which keeps the maximal group."""
+    """Checks of the full and simple upper bounds and their equality case on a
+    block's connected rows, with the exact bounds taken once per distinct
+    (minimum degree, spanning-tree count); the Kf of every connected row goes
+    to the pool, which keeps the maximal group."""
     n, p = spec.n, spec.count
-    stars = _star_rows(n, p, subs)
+    idx, kf, t, dmax = _deletion_block(spec, subs)
+    pairs, which = _distinct_pairs(n, n - 1 - dmax, t)
+    bounds = [_upper_bounds(n, p, delta, count) for delta, count in pairs]
+    full = np.array([float(f) for f, _ in bounds])[which]
+    loose = np.array([f > s for f, s in bounds], dtype=bool)[which]
+    over = kf > full + VALUE_TOL * np.maximum(1.0, full)
+    tight = _reproduces(kf, full)
+    stars = dmax == p
     failures: list[Counterexample] = []
-    vals, ranks = [], []
-    for i, g in _connected_deletions(spec, subs):
-        kf = kf_spectral(g)
-        rec = bound_eval(n, p, g)
-        full_f = float(rec.upper_kf_full)
-        is_star = bool(stars[i])
-        if kf > full_f + VALUE_TOL * max(1.0, full_f):
+    for i in np.flatnonzero(over | loose | (tight != stars)):
+        g = enum.row_graph(spec, subs[idx[i]].tolist())
+        exact_full, exact_simple = bounds[which[i]]
+        if over[i]:
             failures.append(
-                _failure(g, f"Kf {format_real(kf)}", f"<= full bound {format_real(full_f)}")
+                _failure(g, f"Kf {format_real(kf[i])}", f"<= full bound {format_real(full[i])}")
             )
-        if rec.upper_kf_full > rec.upper_kf_simple:
+        if loose[i]:
             failures.append(_failure(
-                g,
-                f"full {format_exact(rec.upper_kf_full)}",
-                f"<= simple {format_exact(rec.upper_kf_simple)}",
+                g, f"full {format_exact(exact_full)}", f"<= simple {format_exact(exact_simple)}"
             ))
-        tight = _reproduces(kf, full_f)
-        if tight != is_star:
+        if tight[i] != stars[i]:
             failures.append(_failure(
                 g,
-                f"equality-with-bound={tight}, star-complement={is_star}",
+                f"equality-with-bound={bool(tight[i])}, star-complement={bool(stars[i])}",
                 "equality exactly on star complements",
             ))
-        vals.append(kf)
-        ranks.append(rank0 + i)
-    pool = np.array(vals), np.array(ranks, dtype=np.int64)
-    return enum.SubsetScan(subs.shape[0], len(vals), *pool, failures)
+    return enum.SubsetScan(subs.shape[0], idx.size, kf, rank0 + idx, failures)
 
 
 def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
@@ -573,8 +566,12 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     scan = enum.scan(spec, partial(_upper_bound_kernel, spec), merge, jobs, budget)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
-    star = build(FamilySpec("kn-minus-star", (n, p)))
-    star_kf = closed_form_kf(FamilySpec("kn-minus-star", (n, p)))
+    star, star_kf, _ = _checked_family_kf(report, "star deletion", FamilySpec("kn-minus-star", (n, p)))
+    sharp = bound_eval(n, p, star).upper_kf_full
+    if sharp != star_kf:
+        report.fail(
+            graph6_encode(star), f"full bound {format_exact(sharp)}", f"Kf of star deletion {format_exact(star_kf)}"
+        )
     max_kf = float(scan.vals.max())
     if not _reproduces(max_kf, star_kf):
         report.fail("-", f"max Kf {format_real(max_kf)}", f"Kf of star deletion {format_exact(star_kf)}")
@@ -596,24 +593,24 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
 
 
 def _tree_count_kernel(spec: EnumerationSpec, bound: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
-    """Per-row spanning-tree bound checks; pools the rows with t == bound."""
-    stars = _star_rows(spec.n, spec.count, subs)
+    """Spanning-tree bound checks on a block's connected rows; pools the rows with t == bound."""
+    idx, _, t, dmax = _deletion_block(spec, subs)
+    stars = dmax == spec.count
+    below, equal = t < bound, t == bound
     failures: list[Counterexample] = []
-    connected, equal = 0, []
-    for i, g in _connected_deletions(spec, subs):
-        connected += 1
-        t = tree_count(g)
-        is_star = bool(stars[i])
-        if t < bound:
-            failures.append(_failure(g, f"t={t}", f"t >= {bound}"))
-        if (t == bound) != is_star:
+    for i in np.flatnonzero(below | (equal != stars)):
+        g = enum.row_graph(spec, subs[idx[i]].tolist())
+        count = int(t[i])
+        if below[i]:
+            failures.append(_failure(g, f"t={count}", f"t >= {bound}"))
+        if equal[i] != stars[i]:
             failures.append(_failure(
-                g, f"t={t}, star-complement={is_star}", f"t == {bound} exactly on star complements"
+                g,
+                f"t={count}, star-complement={bool(stars[i])}",
+                f"t == {bound} exactly on star complements",
             ))
-        if t == bound:
-            equal.append(rank0 + i)
-    vals, ranks = np.full(len(equal), float(bound)), np.array(equal, dtype=np.int64)
-    return enum.SubsetScan(subs.shape[0], connected, vals, ranks, failures)
+    ranks = rank0 + idx[equal]
+    return enum.SubsetScan(subs.shape[0], idx.size, np.full(ranks.size, float(bound)), ranks, failures)
 
 
 def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
@@ -625,6 +622,10 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     scan = enum.scan(spec, partial(_tree_count_kernel, spec, bound), merge, jobs, budget)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
+    star = build(FamilySpec("kn-minus-star", (n, p)))
+    star_t = tree_count(star)
+    if star_t != bound:
+        report.fail(graph6_encode(star), f"t={star_t}", f"t == {bound} at the star deletion")
     equality_count = scan.ranks.size  # one value group: every row with t == bound
     expected = count_labeled_stars(n, p)
     if equality_count != expected:
@@ -635,7 +636,7 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
 
 def _deletion_key(n: int, subs: np.ndarray) -> np.ndarray:
     """Max degree and touched-vertex count of each row's deleted edges, as one integer."""
-    deg = enum.batch_degrees(n, subs)
+    deg = enum.batch_degrees(n, enum.batch_ends(n, subs))
     return deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
 
 

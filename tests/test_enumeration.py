@@ -12,7 +12,9 @@ from kirchhoff.enumeration import (
     BudgetExceededError,
     batch_adjacency,
     batch_cycle_length,
+    batch_degrees,
     batch_eigenvalues,
+    batch_ends,
     batch_kf,
     block_rows,
     cardinality,
@@ -230,7 +232,8 @@ class TestBulkKernels:
     def test_batch_eigs_match_single_graph_route(self):
         table = complete_edge_table(6)
         subs = np.array(list(combinations(range(15), 2))[:40], dtype=np.int64)
-        eigs = batch_eigenvalues(6, subs, deleted=True)
+        ends = batch_ends(6, subs)
+        eigs = batch_eigenvalues(6, ends, batch_degrees(6, ends), deleted=True)
         conn, kf = batch_kf(6, eigs)
         for row in range(40):
             g = make_graph(6, set(table) - {table[i] for i in subs[row]})
@@ -250,7 +253,9 @@ class TestBulkKernels:
         L = -A
         L[:, range(n), range(n)] = deg
         reference = np.linalg.eigvalsh(L)
-        assert (batch_eigenvalues(n, subs, deleted).view(np.int64) == reference.view(np.int64)).all()
+        ends = batch_ends(n, subs)
+        eigs = batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted)
+        assert (eigs.view(np.int64) == reference.view(np.int64)).all()
 
     def test_wiener_scan_matches_streamed_trees(self):
         scan = scan_labeled_trees(labeled_trees(6))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import kirchhoff.families as families
 from kirchhoff.families import (
     FamilyParameterError,
     FamilySpec,
@@ -149,6 +150,14 @@ class TestClosedFormKf:
     def test_gi_values_match_pattern_families(self):
         assert kf_exact("gi", 12, 3) == kf_exact("kn-minus-matching", 12, 2)
         assert kf_exact("gi", 12, 9) == kf_exact("kn-minus-star", 12, 3)
+
+    def test_gi_tables_derived_from_patterns(self):
+        # the values these tables held when they were listed by hand
+        shapes = families.GI_SHAPES
+        assert {i: p for i, (kind, p) in shapes.items() if kind == "matching"} == {2: 1, 3: 2, 5: 3}
+        assert {i: p for i, (kind, p) in shapes.items() if kind == "star"} == {4: 2, 9: 3}
+        assert shapes[1] == ComplementShape("empty", None)
+        assert families._GI_MIN_N == {1: 2, 2: 3, 3: 4, 4: 4, 5: 6, 6: 5, 7: 4, 8: 4, 9: 5}
 
     def test_tree_catalog_equals_wiener_exactly(self):
         for spec in (

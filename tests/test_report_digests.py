@@ -20,12 +20,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "perfbench", "expected.json"), encoding="utf-8") as fh:
     EXPECTED = json.load(fh)
 
-# several seconds each; perfbench/run.py checks them
-SLOW = {
-    "verify --theorem upper-bound --n 8 --p 4",
-    "verify --theorem tree-count-bound --n 8 --p 4",
-    "verify --theorem tree-ordering --n 9",
-}
+# several seconds; perfbench/run.py checks it
+SLOW = {"verify --theorem tree-ordering --n 9"}
 
 
 def body_digest(report: str) -> str:

@@ -1,11 +1,23 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kirchhoff.enumeration import batch_connected, batch_eigenvalues, batch_kf, complete_edge_table
+from kirchhoff.enumeration import (
+    batch_connected,
+    batch_degrees,
+    batch_eigenvalues,
+    batch_ends,
+    batch_kf,
+    batch_laplacian,
+    batch_tree_counts,
+    complete_edge_table,
+    deleted_edges,
+    subset_blocks,
+)
 from kirchhoff.families import FamilySpec, build
 from kirchhoff.graphs import (
     combine,
@@ -16,8 +28,11 @@ from kirchhoff.graphs import (
     make_graph,
 )
 from kirchhoff.spectral import (
+    ConvergenceFailureError,
     DisconnectedGraphError,
     NoEdgesError,
+    batch_determinant,
+    check_tree_counts,
     kf_resistance,
     kf_spectral,
     kf_vertex,
@@ -181,6 +196,84 @@ class TestTreeCount:
         assert tree_count(fam("complete", 22)) == 22**20
 
 
+def _fraction_determinant(rows):
+    """Gaussian elimination over Fractions with row swaps: an oracle independent of Bareiss."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def _reduced_laplacians(n, p, count, seed=0):
+    """Reduced Laplacians of ``count`` random K_n minus p edges, as (B, n-1, n-1) int8."""
+    rng = np.random.default_rng(seed)
+    m = n * (n - 1) // 2
+    subs = np.sort(np.array([rng.choice(m, p, replace=False) for _ in range(count)]), axis=1)
+    ends = batch_ends(n, subs)
+    return batch_laplacian(n, ends, batch_degrees(n, ends), True, np.int8)[:, 1:, 1:]
+
+
+class TestBatchDeterminant:
+    def test_matches_fraction_elimination(self):
+        minors = _reduced_laplacians(7, 3, 40)
+        assert batch_determinant(minors).tolist() == [_fraction_determinant(m.tolist()) for m in minors]
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_int64_and_python_ints_agree_where_the_dtype_switches(self, n):
+        # at n = 11 every elimination step provably fits int64; at n = 12 the
+        # last steps run in Python ints
+        minors = _reduced_laplacians(n, 3, 30, seed=n)
+        fast = batch_determinant(minors)
+        exact = batch_determinant(minors.astype(object))
+        assert exact.dtype == object
+        assert fast.dtype == (np.int64 if n == 11 else object)
+        assert [int(x) for x in fast] == [int(x) for x in exact]
+        assert int(fast[0]) == _fraction_determinant(minors[0].tolist())
+
+    def test_cayley_beyond_int64(self):
+        L = laplacian_matrix(fam("complete", 22)).astype(np.int64)
+        assert int(batch_determinant(L[None, 1:, 1:])[0]) == 22**20
+
+    def test_singular_psd_rows_give_zero(self):
+        # vertex 1 isolated (zero first pivot); triangles on 1-3 and on 0,4,5
+        # (the third pivot is zero); a connected row in the same block
+        rows = [
+            make_graph(4, [(0, 2), (0, 3), (2, 3)]),
+            make_graph(6, [(1, 2), (2, 3), (1, 3), (0, 4), (4, 5), (0, 5)]),
+            fam("cycle", 6),
+        ]
+        minors = [laplacian_matrix(g)[1:, 1:].astype(np.int64) for g in rows]
+        assert batch_determinant(np.array(minors[1:])).tolist() == [0, 6]
+        assert batch_determinant(minors[0][None]).tolist() == [0]
+        assert batch_determinant(np.zeros((3, 0, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+
+
+class TestTreeCountCrossCheck:
+    def test_exact_below_2_44(self):
+        check_tree_counts(np.array([5, 0]), np.array([5.2, 0.3]))
+        with pytest.raises(ConvergenceFailureError, match="determinant 6, spectral product 5.0"):
+            check_tree_counts(np.array([5, 6]), np.array([5.0, 5.0]))
+
+    def test_relative_band_up_to_2_50(self):
+        big = 2**47
+        check_tree_counts(np.array([big], dtype=object), np.array([float(big) * (1 + 1e-10)]))
+        with pytest.raises(ConvergenceFailureError):
+            check_tree_counts(np.array([big], dtype=object), np.array([float(big) * (1 + 1e-8)]))
+
+    def test_no_check_beyond_2_50(self):
+        check_tree_counts(np.array([2**60], dtype=object), np.array([2.0**51]))
+
+
 class TestMu1Bounds:
     def test_complete_equality_case(self):
         lower, upper = mu1_bounds(fam("complete", 4))
@@ -274,8 +367,13 @@ class TestZeroThreshold:
         assert laplacian_spectrum(g).zero_multiplicity == connected_components(g)
         table = complete_edge_table(n)
         row = np.array([[table.index(e) for e in g.edges]], dtype=np.int64)
-        connected, _ = batch_kf(n, batch_eigenvalues(n, row, deleted=False))
+        connected, _ = batch_kf(n, _eigenvalues(n, row, False))
         assert bool(connected[0]) == is_connected(g)
+
+
+def _eigenvalues(n, subs, deleted):
+    ends = batch_ends(n, subs)
+    return batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted)
 
 
 def _subset_rows(n):
@@ -305,5 +403,21 @@ class TestBatchConnectivity:
         graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
         mask = batch_connected(n, subs, deleted)
         assert mask.tolist() == [is_connected(g) for g in graphs]
-        eigen_mask, _ = batch_kf(n, batch_eigenvalues(n, subs, deleted))
+        eigen_mask, _ = batch_kf(n, _eigenvalues(n, subs, deleted))
         assert (mask == eigen_mask).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9).flatmap(_subset_rows))
+    @example((6, True, [list(range(5))]))
+    @example((6, False, [[0, 1, 14]]))
+    def test_batched_tree_counts_match_per_graph_route(self, case):
+        # disconnected rows, isolated vertices among them, count 0 trees
+        n, deleted, rows = case
+        subs = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))
+        table = complete_edge_table(n)
+        graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
+        ends = batch_ends(n, subs)
+        deg = batch_degrees(n, ends)
+        counts = batch_tree_counts(n, ends, deg, deleted, batch_eigenvalues(n, ends, deg, deleted))
+        assert [int(t) for t in counts] == [tree_count(g) for g in graphs]
+        assert [bool(t) for t in counts] == [is_connected(g) for g in graphs]

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ import pytest
 import kirchhoff.verify as verify
 from kirchhoff.enumeration import (
     batch_adjacency,
+    batch_degrees,
+    batch_ends,
+    block_rows,
     cardinality,
     complete_edge_table,
     deleted_edges,
     labeled_trees,
+    row_graph,
     subset_blocks,
 )
-from kirchhoff.families import FamilySpec, build
-from kirchhoff.graphs import make_graph
-from kirchhoff.spectral import DisconnectedGraphError, kf_spectral
+from kirchhoff.families import FamilySpec, build, edge_shape
+from kirchhoff.graphs import is_connected, make_graph
+from kirchhoff.spectral import DisconnectedGraphError, kf_spectral, tree_count
 from kirchhoff.verify import (
     ComplementShape,
     MalformedInputError,
@@ -54,8 +59,8 @@ class TestComplementShape:
         m = n * (n - 1) // 2
         (_, subs), = subset_blocks(m, p, 0, cardinality(deleted_edges(n, p)), 1 << 15)
         table = complete_edge_table(n)
-        stars = [verify._shape_of_edges([table[i] for i in row]) == ComplementShape("star", p) for row in subs.tolist()]
-        assert verify._star_rows(n, p, subs).tolist() == stars
+        stars = [edge_shape([table[i] for i in row]) == ComplementShape("star", p) for row in subs.tolist()]
+        assert (batch_degrees(n, batch_ends(n, subs)).max(axis=1) == p).tolist() == stars
         assert sum(stars) == count_labeled_stars(n, p)
         deg = batch_adjacency(n, subs, bool).sum(axis=2)
         key = deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
@@ -90,11 +95,86 @@ class TestBoundEval:
             bound_eval(8, 2, g)
         assert err.value.components == 4
 
+    def test_connectivity_is_tested_before_tree_count(self, monkeypatch):
+        def unreachable(g):
+            raise AssertionError("tree_count ran on a disconnected graph")
+
+        monkeypatch.setattr(verify, "tree_count", unreachable)
+        with pytest.raises(DisconnectedGraphError):
+            bound_eval(6, 2, make_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]))
+
     def test_param_range(self):
         with pytest.raises(ParamOutOfRangeError):
             bound_eval(6, 1)
         with pytest.raises(ParamOutOfRangeError):
             bound_eval(6, 4)
+
+
+def _blocks(n, p):
+    """(spec, first rank, rows) of every scan block of K_n minus p edges."""
+    spec = deleted_edges(n, p)
+    m = n * (n - 1) // 2
+    for rank0, subs in subset_blocks(m, p, 0, cardinality(spec), block_rows(n)):
+        yield spec, rank0, subs
+
+
+def _per_row_tree_count_failures(spec, bound, subs):
+    """The per-graph route the block kernel replaced: its failures, in rank order."""
+    n, p = spec.n, spec.count
+    out = []
+    for i, row in enumerate(subs.tolist()):
+        g = row_graph(spec, row)
+        if not is_connected(g):
+            continue
+        t = tree_count(g)
+        star = complement_shape(g) == ComplementShape("star", p)
+        if t < bound:
+            out.append(verify._failure(g, f"t={t}", f"t >= {bound}"))
+        if (t == bound) != star:
+            out.append(verify._failure(
+                g, f"t={t}, star-complement={star}", f"t == {bound} exactly on star complements"
+            ))
+    return out
+
+
+SMALL_DELETIONS = [(n, p) for n in range(4, 8) for p in range(2, min(3, n // 2) + 1)]
+
+
+class TestBlockKernels:
+    """The batched Kf, spanning-tree count, minimum degree and star mask
+    against the per-graph route, which stays as the oracle."""
+
+    @pytest.mark.parametrize("n,p", SMALL_DELETIONS)
+    def test_block_values_match_per_row_route(self, n, p):
+        for spec, _, subs in _blocks(n, p):
+            idx, kf, t, dmax = verify._deletion_block(spec, subs)
+            graphs = [row_graph(spec, row) for row in subs.tolist()]
+            assert idx.tolist() == [i for i, g in enumerate(graphs) if is_connected(g)]
+            for i, value, count, top in zip(idx.tolist(), kf, t, dmax):
+                g = graphs[i]
+                delta = n - 1 - int(top)
+                assert abs(value - kf_spectral(g)) <= 1e-9 * kf_spectral(g)
+                assert int(count) == tree_count(g)
+                assert delta == min(g.degree(v) for v in range(n))
+                assert (top == p) == (complement_shape(g) == ComplementShape("star", p))
+                rec = bound_eval(n, p, g)
+                assert (rec.upper_kf_full, rec.upper_kf_simple) == verify._upper_bounds(n, p, delta, int(count))
+
+    @pytest.mark.parametrize("n,p", [(6, 3), (7, 2), (7, 3)])
+    def test_forced_tree_count_failures_match_per_row_oracle(self, n, p):
+        bound = bound_eval(n, p).tree_count_lower + 1
+        for spec, rank0, subs in _blocks(n, p):
+            got = verify._tree_count_kernel(spec, bound, rank0, subs)
+            expected = _per_row_tree_count_failures(spec, bound, subs)
+            assert got.failures == expected
+            assert len(expected) >= count_labeled_stars(n, p)
+
+    def test_block_without_connected_rows(self):
+        spec = deleted_edges(6, 5)
+        subs = np.array([[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]], dtype=np.int64)  # vertex 0, then vertex 1 isolated
+        for kernel in (verify._upper_bound_kernel, partial(verify._tree_count_kernel, bound=1)):
+            scan = kernel(spec, rank0=10, subs=subs)
+            assert (scan.checked, scan.connected, scan.ranks.size, scan.failures) == (2, 0, 0, [])
 
 
 class TestCheckIdentity:
