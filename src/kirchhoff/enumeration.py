@@ -15,10 +15,12 @@ large requests refuse gracefully.  Each space has one unranker, used by
 both the scan's blocks and :func:`member` (:func:`unrank_rows` for subsets,
 :func:`prufer_rows` for trees), and one map (:func:`row_graph`) turns a row
 into its graph.  One smallest-leaf decoder (:func:`prufer_steps`) serves
-both :func:`prufer_decode` and the Wiener kernel.  Every space is walked in
-blocks of up to 2^15 rows (:func:`block_rows`); the subset Kf kernel
-eigensolves only a block's connected rows, found by an exact bitmask test
-(:func:`batch_connected`).  One scan engine (:func:`scan`) runs every
+both :func:`prufer_decode` and the Wiener kernel (:func:`wiener_block`):
+each leaf is the lowest zero bit of int64 vertex bitmasks, and the kernel
+packs a row's subtree sizes into 4-bit lanes of one int64.  Every space is
+walked in blocks of up to 2^15 rows (:func:`block_rows`); the subset Kf
+kernel eigensolves only a block's connected rows, found by an exact bitmask
+test (:func:`batch_connected`).  One scan engine (:func:`scan`) runs every
 exhaustive scan: work splits into disjoint rank ranges, one per job, and
 every block's partial result merges in rank order.  Every row is visited
 once for any job count, but the block boundaries move with it; :func:`scan`
@@ -194,33 +196,39 @@ def subset_blocks(
 
 def prufer_rows(n: int, ranks) -> np.ndarray:
     """(B, n-2) digit array: the rank-th length-(n-2) sequence over range(n),
-    most significant digit first, for each rank in [0, n^(n-2))."""
+    most significant digit first, for each rank in [0, n^(n-2)); one divmod
+    per digit fills a digit-major array, so each digit column is contiguous."""
     if n ** (n - 2) > np.iinfo(np.int64).max:
         raise ValueError(f"{n}^{n - 2} sequences do not fit int64 ranks")
-    powers = n ** np.arange(n - 3, -1, -1, dtype=np.int64)
-    return np.asarray(ranks, dtype=np.int64)[:, None] // powers % n
+    quotient = np.array(ranks, dtype=np.int64)
+    digits = np.empty((n - 2, quotient.size), dtype=np.int64)
+    for k in range(n - 3, -1, -1):
+        np.divmod(quotient, n, out=(quotient, digits[k]))
+    return digits.T
 
 
 def prufer_steps(n: int, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(leaf, parent) arrays for each of the n-1 edges the smallest-leaf rule
     decodes from (B, n-2) Prüfer rows, in decoding order.
 
-    Step k joins the smallest leaf to digit k and prunes the leaf; the last
-    step joins the two vertices left.
+    Leaf k is the smallest vertex neither pruned nor among the digits
+    ``rows[k:]``: the lowest zero bit of the union t of two int64 bitmasks
+    per row, isolated as ``~t & (t + 1)`` and indexed by its float exponent
+    (exact for n <= 62).  Step k joins it to digit k; the last joins the one
+    vertex left to n-1, which the rule never prunes.
     """
     B = rows.shape[0]
-    degree = np.ones((B, n), dtype=np.int16)
-    flat = (rows + n * np.arange(B, dtype=np.int64)[:, None]).ravel()
-    degree += np.bincount(flat, minlength=B * n).reshape(B, n).astype(np.int16)
-    idx = np.arange(B)
-    for k in range(n - 2):
-        leaf = np.argmax(degree == 1, axis=1)
-        parent = rows[:, k]
-        yield leaf, parent
-        degree[idx, leaf] = 0
-        degree[idx, parent] -= 1
-    ends = degree == 1
-    yield np.argmax(ends, axis=1), n - 1 - np.argmax(ends[:, ::-1], axis=1)
+    suffix = np.zeros((n - 1, B), dtype=np.int64)
+    np.left_shift(1, rows.T, out=suffix[:-1])
+    for k in range(n - 3, -1, -1):
+        suffix[k] |= suffix[k + 1]
+    parents = [*rows.T, np.broadcast_to(np.int64(n - 1), B)]
+    pruned = np.zeros(B, dtype=np.int64)
+    for t, parent in zip(suffix, parents):
+        t |= pruned
+        low = ~t & (t + 1)
+        pruned |= low
+        yield np.frexp(low)[1] - 1, parent
 
 
 @lru_cache(maxsize=None)
@@ -343,16 +351,20 @@ def wiener_block(n: int, rows: np.ndarray) -> np.ndarray:
 
     Each decoding step prunes a leaf whose side of the tree has s vertices,
     and s(n-s) vertex pairs cross that edge; their sum over the steps
-    reproduces the per-tree BFS value.
+    reproduces the per-tree BFS value.  A row's sizes sit in 4-bit lanes of
+    one int64, lane v holding size(v) - 1 <= n-2 <= 15 for v < n-1 (n <= 17,
+    as in :func:`prufer_rows`): a gather is a shift and a mask, a scatter a
+    shifted add.  Lane n-1 is never read; at n = 17 numpy shifts it out.
     """
+    if n > 17:
+        raise ValueError(f"4-bit size lanes hold trees on at most 17 vertices, got n={n}")
     B = rows.shape[0]
-    size = np.ones((B, n), dtype=np.int16)
+    lanes = np.zeros(B, dtype=np.int64)
     W = np.zeros(B, dtype=np.int64)
-    idx = np.arange(B)
     for leaf, parent in prufer_steps(n, rows):
-        s = size[idx, leaf].astype(np.int64)
+        s = (lanes >> 4 * leaf & 15) + 1
         W += s * (n - s)
-        size[idx, parent] += s.astype(np.int16)
+        lanes += s << 4 * parent
     return W
 
 

@@ -27,6 +27,7 @@ from kirchhoff.enumeration import (
     member,
     prufer_decode,
     prufer_rows,
+    prufer_steps,
     scan_labeled_trees,
     scan_subsets,
     subset_blocks,
@@ -201,8 +202,11 @@ class TestPrufer:
     def check_decoders(self, n, seqs):
         trees = [scalar_prufer_decode(seq, n) for seq in seqs]
         assert [prufer_decode(seq, n) for seq in seqs] == trees
-        W = wiener_block(n, np.array(seqs, dtype=np.int64).reshape(len(seqs), n - 2))
-        assert W.tolist() == [wiener(t) for t in trees]
+        rows = np.array(seqs, dtype=np.int64).reshape(len(seqs), n - 2)
+        *_, (_, last_parent) = prufer_steps(n, rows)
+        assert (last_parent == n - 1).all()
+        if n <= 17:
+            assert wiener_block(n, rows).tolist() == [wiener(t) for t in trees]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_decoders_match_scalar_loop_on_every_sequence(self, n):
@@ -210,16 +214,35 @@ class TestPrufer:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.integers(2, 12).flatmap(
+        st.integers(2, 17).flatmap(
             lambda n: st.tuples(
                 st.just(n),
                 st.lists(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2), min_size=1, max_size=8),
             )
         )
     )
+    # size lanes at their widest: the path into 16 (a 16-vertex side) and both stars
+    @example((17, [tuple(range(1, 16)), (0,) * 15, (16,) * 15]))
     def test_decoders_match_scalar_loop(self, case):
         n, seqs = case
         self.check_decoders(n, [tuple(seq) for seq in seqs])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(18, 62).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        )
+    )
+    @example((62, list(range(1, 61))))  # the pruned mask reaches vertex 60, the bitmask's top leaf
+    @example((62, [0] * 60))
+    @example((62, [61] * 60))
+    def test_decoder_matches_scalar_loop_up_to_62_vertices(self, case):
+        n, seq = case
+        self.check_decoders(n, [tuple(seq)])
+
+    def test_wiener_lanes_refuse_18_vertices(self):
+        with pytest.raises(ValueError, match="at most 17 vertices, got n=18"):
+            wiener_block(18, np.zeros((1, 16), dtype=np.int64))
 
     def test_decode_rejects_malformed_sequences(self):
         with pytest.raises(ValueError, match="length must be n-2=3"):

@@ -1,10 +1,9 @@
 """The benchmark's verdicts keep their exit codes and report bodies byte for byte.
 
-Every verdict in ``perfbench/expected.json`` that finishes within about
-1.5 s at ``--jobs 2`` runs through the CLI here, in the fork pool at
-``--jobs 2`` and inline at ``--jobs 1``; its exit code and the sha256 of its
-report without the ``elapsed_seconds:`` footer must match the recorded ones.
-The file is only read.
+Every verdict in ``perfbench/expected.json`` runs through the CLI here, in
+the fork pool at ``--jobs 2`` and inline at ``--jobs 1``; its exit code and
+the sha256 of its report without the ``elapsed_seconds:`` footer must match
+the recorded ones.  The file is only read.
 """
 
 import hashlib
@@ -20,9 +19,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "perfbench", "expected.json"), encoding="utf-8") as fh:
     EXPECTED = json.load(fh)
 
-# several seconds; perfbench/run.py checks it
-SLOW = {"verify --theorem tree-ordering --n 9"}
-
 
 def body_digest(report: str) -> str:
     lines = report.splitlines(keepends=True)
@@ -33,7 +29,7 @@ def body_digest(report: str) -> str:
 # the --jobs 2 case of a verdict is named by its expected.json key alone
 CASES = [
     pytest.param(verdict, jobs, id=verdict if jobs == 2 else f"{verdict} --jobs 1")
-    for verdict in sorted(set(EXPECTED) - SLOW)
+    for verdict in sorted(EXPECTED)
     for jobs in (2, 1)
 ]
 
