@@ -18,13 +18,12 @@ into its graph.  One smallest-leaf decoder (:func:`prufer_steps`) serves
 both :func:`prufer_decode` and the Wiener kernel (:func:`wiener_block`):
 each leaf is the lowest zero bit of int64 vertex bitmasks, and the kernel
 packs a row's subtree sizes into 4-bit lanes of one int64.  Every space is
-walked in blocks of up to 2^15 rows (:func:`block_rows`); the subset Kf
+walked in blocks of up to 2^14 rows (:func:`block_rows`); the subset Kf
 kernel eigensolves only a block's connected rows, found by an exact bitmask
 test (:func:`batch_connected`).  One scan engine (:func:`scan`) runs every
-exhaustive scan: work splits into disjoint rank ranges, one per job, and
-every block's partial result merges in rank order.  Every row is visited
-once for any job count, but the block boundaries move with it; :func:`scan`
-says what that can change.
+exhaustive scan: blocks start at multiples of the block size, each job
+takes a run of whole blocks, and every block's partial result merges in
+rank order, so the job count changes no block and no result.
 """
 
 from __future__ import annotations
@@ -65,27 +64,28 @@ class EnumerationSpec:
     count: int | None = None
 
 
-def _check_n(n: int) -> None:
-    """Every space holds 2..62 vertices: witnesses print as graph6, whose one size
-    byte stops at 62, and batch_connected's int64 neighbour masks hold that many."""
+def check_n(n: int) -> None:
+    """Every space, Prüfer decode and verifier holds 2..62 vertices: witnesses print
+    as graph6, whose one size byte stops at 62, and the int64 vertex bitmasks of
+    batch_connected and prufer_steps hold that many."""
     if not 2 <= n <= 62:
         raise ValueError(f"enumeration spaces need 2 <= n <= 62, got n={n}")
 
 
 def deleted_edges(n: int, p: int) -> EnumerationSpec:
-    _check_n(n)
+    check_n(n)
     if not 0 <= p <= n * (n - 1) // 2:
         raise ValueError(f"cannot delete {p} edges from K_{n}")
     return EnumerationSpec("deleted-edges", n, p)
 
 
 def labeled_trees(n: int) -> EnumerationSpec:
-    _check_n(n)
+    check_n(n)
     return EnumerationSpec("labeled-trees", n)
 
 
 def connected_with_edges(n: int, m: int) -> EnumerationSpec:
-    _check_n(n)
+    check_n(n)
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"no {m}-edge graphs on {n} vertices")
     return EnumerationSpec("connected-with-edges", n, m)
@@ -110,6 +110,7 @@ def check_budget(spec: EnumerationSpec, budget: int = DEFAULT_BUDGET) -> int:
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     """Tree for a vertex sequence of length n-2, by the smallest-leaf rule."""
+    check_n(n)
     if len(seq) != n - 2:
         raise ValueError(f"sequence length must be n-2={n - 2}")
     for x in seq:
@@ -414,16 +415,17 @@ def value_groups(
 
 
 # ---------------------------------------------------------------------------
-# The scan engine: one worker turns each block of a contiguous rank range
-# into a partial result with a kernel; one driver splits [0, total) across
-# jobs and merges every block's partial in rank order.
+# The scan engine: one worker turns each block of a contiguous run of blocks
+# into a partial result with a kernel; scan splits the blocks of
+# [0, total) across jobs and merges every block's partial in rank order.
 
 
 def block_rows(n: int) -> int:
-    """Rows per scan block in every space: the largest power of two <= 2^15
+    """Rows per scan block in every space: the largest power of two <= 2^14
     whose (rows, n, n) Laplacian stack has at most 3 * 2^20 entries, which
-    keeps a fork worker's peak memory from growing with n."""
-    rows = 1 << 15
+    keeps the peak memory of the process that runs a block (a fork worker,
+    or the main process for a one-block scan) from growing with n."""
+    rows = 1 << 14
     while rows * n * n > 3 << 20:
         rows >>= 1
     return rows
@@ -449,21 +451,21 @@ def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFA
     """``merge`` of every block's ``kernel(first rank, rows)`` over ``spec``, in rank order.
 
     A space larger than ``budget`` raises :class:`BudgetExceededError`
-    before any block runs.  Its ranks [0, total) split into ``jobs``
-    contiguous ranges, run inline at jobs=1 and otherwise in a fork pool
-    of at most one worker per usable CPU, where ``kernel`` must pickle (a
-    module-level function or a partial of one).  A range can start
-    mid-block, so block boundaries depend on ``jobs``; per-row values,
-    counts, failures and histograms do not.  Pooled value groups do when
-    near-ties chain across more than TIE_TOL, since a block missing a
-    middle value splits the chain; exact tie adjudication would remove
-    that dependence.
+    before any block runs.  Blocks start at multiples of
+    ``block_rows(n)``, so they depend on the space alone, and each of at
+    most ``jobs`` contiguous runs of whole blocks goes to one worker.  A
+    space of one block, or jobs=1, runs inline; otherwise a fork pool of
+    at most one worker per usable CPU runs the runs, and ``kernel`` must
+    pickle (a module-level function or a partial of one).  ``merge`` sees
+    the same partials for any ``jobs``, so no result or report byte depends on it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     total = check_budget(spec, budget)
-    jobs = min(jobs, total)
-    bounds = [total * i // jobs for i in range(jobs + 1)]
+    block = block_rows(spec.n)
+    blocks = -(-total // block)
+    jobs = min(jobs, blocks)
+    bounds = [min(total, block * (blocks * i // jobs)) for i in range(jobs + 1)]
     tasks = [(spec, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
     if jobs == 1:
         return merge(_scan_worker(tasks[0]))

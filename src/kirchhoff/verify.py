@@ -709,6 +709,7 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
     (n,) = _require_params(params, "n")
     if n < 9:
         raise ParamOutOfRangeError("tree ordering is stated for n >= 9")
+    enum.check_n(n)
     report = VerificationReport("tree-ordering", {"n": n})
     graphs = [(label, build(NAMED_FAMILIES[label].spec(n))) for label in _TREE_CHAIN]
     w_vals = [wiener(g) for _, g in graphs]
@@ -888,6 +889,7 @@ def _verify_max_ordering(params, budget, jobs) -> VerificationReport:
     (n,) = _require_params(params, "n")
     if n < 10:
         raise ParamOutOfRangeError("max-ordering chain needs n >= 10 (distinct families)")
+    enum.check_n(n)
     report = VerificationReport("max-ordering", {"n": n})
     values, labels = [], _MAX_CHAIN
     for rank, label in enumerate(labels, start=1):
@@ -942,6 +944,7 @@ def random_connected_graph(rng: random.Random, n: int, m: int) -> Graph:
 
 def _verify_edge_trim(params, budget, jobs) -> VerificationReport:
     (n, m) = _require_params(params, "n", "m")
+    enum.check_n(n)
     trials = params.get("trials", 20)
     seed = params.get("seed", 0)
     if m <= n + 1:

@@ -91,6 +91,20 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--theorem", "edge-trim", "--n", "8", "--m", "12", "--trials", "-1")
         assert code == 2 and out == "" and err == "error: edge trimming needs trials >= 1, got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("edge-trim", "--n", "70", "--m", "100", "--trials", "1"),
+            ("tree-ordering", "--n", "600"),
+            ("max-ordering", "--n", "600"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_vertex_count_over_62_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--theorem", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: enumeration spaces need 2 <= n <= 62, got n={argv[2]}\n"
+
     def test_parameter_the_theorem_does_not_take_exit_two(self, capsys):
         code, out, err = run(capsys, "verify", "--theorem", "max-ordering", "--n", "10", "--p", "3")
         assert code == 2 and out == ""

@@ -37,6 +37,11 @@ from kirchhoff.graphs import is_connected, make_graph
 from kirchhoff.spectral import kf_spectral, wiener
 
 
+def block_extent(rank0, rows):
+    """A scan kernel that records the block it was given: (first rank, rows)."""
+    return rank0, rows.shape[0]
+
+
 class TestCardinalityAndBudget:
     def test_deleted_edges_count(self):
         assert cardinality(deleted_edges(5, 2)) == 45
@@ -75,8 +80,8 @@ class TestCardinalityAndBudget:
             scan_labeled_trees(labeled_trees(12))
 
     def test_block_rows_from_n(self):
-        assert [block_rows(n) for n in range(2, 10)] == [1 << 15] * 8
-        assert [block_rows(n) for n in range(10, 14)] == [1 << 14] * 4
+        assert [block_rows(n) for n in range(2, 14)] == [1 << 14] * 12
+        assert block_rows(14) == 1 << 13
 
     def test_budget_boundary_allows_equality(self):
         spec = deleted_edges(5, 2)
@@ -244,6 +249,10 @@ class TestPrufer:
         with pytest.raises(ValueError, match="at most 17 vertices, got n=18"):
             wiener_block(18, np.zeros((1, 16), dtype=np.int64))
 
+    def test_decode_refuses_63_vertices(self):
+        with pytest.raises(ValueError, match=r"^enumeration spaces need 2 <= n <= 62, got n=63$"):
+            prufer_decode((0,) * 61, 63)
+
     def test_decode_rejects_malformed_sequences(self):
         with pytest.raises(ValueError, match="length must be n-2=3"):
             prufer_decode((0, 1), 5)
@@ -312,8 +321,15 @@ class TestBulkKernels:
         assert (t_one.hist == t_two.hist).all()
         assert t_one.first_rank == t_two.first_rank
 
-    def test_tree_scan_jobs_split_mid_block(self):
-        # 8^6 = 262,144 trees in 8 blocks of 2^15; three ranges start mid-block
+    @pytest.mark.parametrize("spec", [connected_with_edges(7, 9), labeled_trees(8)], ids=["subsets", "trees"])
+    def test_blocks_sit_on_a_fixed_grid(self, spec):
+        # 293,930 subsets in 18 blocks of 2^14 rows, 8^6 trees in 16; no job's run starts mid-block
+        block, total = block_rows(spec.n), cardinality(spec)
+        grid = [(rank, min(block, total - rank)) for rank in range(0, total, block)]
+        assert [enum.scan(spec, block_extent, list, jobs) for jobs in (1, 2, 3)] == [grid] * 3
+
+    def test_tree_scan_same_at_any_jobs(self):
+        # 8^6 = 262,144 trees in 16 blocks of 2^14; jobs 3 runs 5, 5 and 6 of them
         one = scan_labeled_trees(labeled_trees(8), jobs=1)
         three = scan_labeled_trees(labeled_trees(8), jobs=3)
         assert one.count == three.count == 8**6
@@ -341,8 +357,9 @@ class TestBulkKernels:
 
         monkeypatch.setattr(enum.multiprocessing, "get_context", lambda method: Context)
         monkeypatch.setattr(enum.os, "sched_getaffinity", lambda pid: {0, 1})
-        many = scan_labeled_trees(labeled_trees(6), jobs=100000)
-        one = scan_labeled_trees(labeled_trees(6), jobs=1)
+        many = scan_labeled_trees(labeled_trees(8), jobs=100000)
+        one = scan_labeled_trees(labeled_trees(8), jobs=1)
+        scan_labeled_trees(labeled_trees(6), jobs=2)  # one block runs inline
         assert sizes == [2]
         assert many.hist.tolist() == one.hist.tolist() and many.first_rank == one.first_rank
 

@@ -1,9 +1,11 @@
 """The benchmark's verdicts keep their exit codes and report bodies byte for byte.
 
-Every verdict in ``perfbench/expected.json`` runs through the CLI here, in
-the fork pool at ``--jobs 2`` and inline at ``--jobs 1``; its exit code and
-the sha256 of its report without the ``elapsed_seconds:`` footer must match
-the recorded ones.  The file is only read.
+Every verdict in ``perfbench/expected.json`` runs through the CLI here at
+``--jobs 2`` and ``--jobs 1``, and the per-graph verdicts whose scans span
+more than one block also at ``--jobs 3``; a scan of one block runs inline
+at any ``--jobs``.  Its exit code and the sha256 of its report without the
+``elapsed_seconds:`` footer must match the recorded ones.  The file is only
+read.
 """
 
 import hashlib
@@ -26,11 +28,18 @@ def body_digest(report: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
+THREE_JOBS = {
+    "verify --theorem upper-bound --n 8 --p 4",
+    "verify --theorem tree-count-bound --n 8 --p 4",
+    *(f"verify --theorem min-ordering --n {n}" for n in (11, 12, 13)),
+}
+
 # the --jobs 2 case of a verdict is named by its expected.json key alone
 CASES = [
-    pytest.param(verdict, jobs, id=verdict if jobs == 2 else f"{verdict} --jobs 1")
+    pytest.param(verdict, jobs, id=verdict if jobs == 2 else f"{verdict} --jobs {jobs}")
     for verdict in sorted(EXPECTED)
-    for jobs in (2, 1)
+    for jobs in (2, 1, 3)
+    if jobs < 3 or verdict in THREE_JOBS
 ]
 
 
