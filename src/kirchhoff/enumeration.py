@@ -20,10 +20,12 @@ each leaf is the lowest zero bit of int64 vertex bitmasks, and the kernel
 packs a row's subtree sizes into 4-bit lanes of one int64.  Every space is
 walked in blocks of up to 2^14 rows (:func:`block_rows`); the subset Kf
 kernel eigensolves only a block's connected rows, found by an exact bitmask
-test (:func:`batch_connected`).  One scan engine (:func:`scan`) runs every
-exhaustive scan: blocks start at multiples of the block size, each job
-takes a run of whole blocks, and every block's partial result merges in
-rank order, so the job count changes no block and no result.
+test (:func:`batch_connected`); a ``deleted-edges`` row's spectrum comes
+from its p deleted edges, a p x p solve (:func:`batch_eigenvalues`).  One
+scan engine (:func:`scan`) runs every exhaustive scan: blocks start at
+multiples of the block size, each job takes a run of whole blocks, and
+every block's partial result merges in rank order, so the job count
+changes no block and no result.
 """
 
 from __future__ import annotations
@@ -295,7 +297,8 @@ def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, dt
 
     ``deleted`` interprets the selected edges as removed from K_n rather
     than as the edge set itself.  Off-diagonal zeros are -0.0, as -A gives:
-    LAPACK's Householder step reads the sign of zero.
+    LAPACK's Householder step reads the sign of zero, which reaches the last
+    bits of a connected-with-edges row's float Kf.
     """
     B = ends.shape[0]
     rows = np.arange(B)[:, None]
@@ -307,8 +310,32 @@ def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, dt
 
 
 def batch_eigenvalues(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool) -> np.ndarray:
-    """Ascending Laplacian eigenvalues for each row of a block (see batch_laplacian)."""
-    return np.linalg.eigvalsh(batch_laplacian(n, ends, deg, deleted))
+    """Ascending Laplacian eigenvalues for each row of a block (see batch_laplacian).
+
+    In ``deleted`` mode the spectrum comes from the p deleted edges H alone:
+    L(K_n - H) = nI - J - L(H), so it is 0, then n - lambda for each of
+    L(H)'s eigenvalues but one zero (Kelmans and Chelnokov, J. Combin.
+    Theory B 16, 1974).  L(H) = N^T N for H's oriented incidence matrix N,
+    whose p x p Gram matrix N N^T has the same nonzero eigenvalues, so for
+    0 < p < n the solve is p x p, for p >= n it is L(H) itself, and p = 0
+    needs none.
+    """
+    if not deleted:
+        return np.linalg.eigvalsh(batch_laplacian(n, ends, deg, False))
+    B, p = ends.shape[:2]
+    if p >= n:
+        lam = np.linalg.eigvalsh(batch_laplacian(n, ends, deg, False))[:, 1:]
+    elif p:
+        u, v = ends[..., 0, None], ends[..., 1, None]  # (B, p, 1): edge e's ends down the rows
+        uf, vf = u.transpose(0, 2, 1), v.transpose(0, 2, 1)  # edge f's ends along the columns
+        gram = (u == uf).astype(float) + (v == vf) - (u == vf) - (v == uf)
+        lam = np.linalg.eigvalsh(gram)
+    else:
+        lam = np.zeros((B, 0))
+    eigs = np.full((B, n), float(n))
+    eigs[:, 0] = 0.0
+    eigs[:, 1 : 1 + lam.shape[1]] = n - lam[:, ::-1]
+    return eigs
 
 
 def batch_tree_counts(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, eigs: np.ndarray) -> np.ndarray:

@@ -463,6 +463,18 @@ def _deleted_space_params(params: dict) -> tuple[int, int]:
     return n, p
 
 
+def _check_deleted_shape(report: VerificationReport, spec: EnumerationSpec, ranks: np.ndarray, kind: str) -> None:
+    """Fail each of the sorted ``ranks`` whose p deleted edges are not a p-matching
+    (max deleted degree 1) or a p-star (max deleted degree p), as ``kind`` says,
+    from one unrank and degree pass; only a failing rank builds its graph."""
+    n, p = spec.n, spec.count
+    ends = enum.batch_ends(n, enum.unrank_rows(n * (n - 1) // 2, p, ranks))
+    dmax = enum.batch_degrees(n, ends).max(axis=1)
+    for rank in ranks[dmax != (1 if kind == "matching" else p)]:
+        g = member(spec, int(rank))
+        report.fail(graph6_encode(g), f"complement {complement_shape(g).kind}", f"{kind}({p})")
+
+
 def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("lower-bound", {"n": n, "p": p})
@@ -481,15 +493,7 @@ def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
             f"{member_ranks.size} minimizers",
             f"{expected_count} labeled {p}-matchings",
         )
-    for rank in member_ranks:
-        g = member(spec, int(rank))
-        shape = complement_shape(g)
-        if shape != ComplementShape("matching", p):
-            report.fail(
-                graph6_encode(g),
-                f"complement {shape.kind}",
-                f"matching({p})",
-            )
+    _check_deleted_shape(report, spec, member_ranks, "matching")
     rep = member(spec, int(member_ranks[0]))
     report.extremal_witnesses.append(
         Witness(1, graph6_encode(rep), lead, int(member_ranks.size))
@@ -578,11 +582,7 @@ def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     expected = count_labeled_stars(n, p)
     if scan.ranks.size != expected:
         report.fail("-", f"{scan.ranks.size} maximizers", f"{expected} labeled stars")
-    for rank in np.sort(scan.ranks):
-        g = member(spec, int(rank))
-        shape = complement_shape(g)
-        if shape != ComplementShape("star", p):
-            report.fail(graph6_encode(g), f"complement {shape.kind}", f"star({p})")
+    _check_deleted_shape(report, spec, np.sort(scan.ranks), "star")
     report.extremal_witnesses.append(
         Witness(1, graph6_encode(star), max_kf, int(scan.ranks.size))
     )

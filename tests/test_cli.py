@@ -53,6 +53,25 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err == "error: Eigenvalues did not converge\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--theorem", "min-ordering", "--n", "6", "--jobs", "1"),  # inline scan
+            ("verify", "--theorem", "upper-bound", "--n", "8", "--p", "4", "--jobs", "2"),  # fork pool
+        ],
+        ids=["inline", "fork-pool"],
+    )
+    def test_eigensolver_failure_in_a_scan_exit_two(self, capsys, monkeypatch, argv):
+        import numpy as np
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: Eigenvalues did not converge\n"
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys, tmp_path):

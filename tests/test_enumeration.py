@@ -33,8 +33,9 @@ from kirchhoff.enumeration import (
     subset_blocks,
     wiener_block,
 )
+from kirchhoff.families import GI_PATTERNS, FamilySpec, build, closed_form_kf
 from kirchhoff.graphs import is_connected, make_graph
-from kirchhoff.spectral import kf_spectral, wiener
+from kirchhoff.spectral import kf_resistance, kf_spectral, wiener
 
 
 def block_extent(rank0, rows):
@@ -273,10 +274,11 @@ class TestBulkKernels:
             if conn[row]:
                 assert abs(kf[row] - kf_spectral(g)) < 1e-9
 
-    @pytest.mark.parametrize("n,k,deleted", [(6, 6, False), (7, 8, False), (7, 3, True), (8, 0, True)])
+    @pytest.mark.parametrize("n,k,deleted", [(6, 6, False), (7, 8, False)])
     def test_batch_eigenvalues_bitwise_as_negated_adjacency(self, n, k, deleted):
         # reference assembly: L = -A with the degrees on the diagonal, so every
-        # off-diagonal zero is -0.0; LAPACK reads that sign into Kf's last bits
+        # off-diagonal zero is -0.0; LAPACK reads that sign into Kf's last bits.
+        # Deleted rows solve a smaller matrix: see TestDeletedSpectrum.
         subs = np.array(list(islice(combinations(range(n * (n - 1) // 2), k), 6000)), dtype=np.int64)
         A = batch_adjacency(n, subs, float)
         if deleted:
@@ -372,3 +374,80 @@ class TestBulkKernels:
         # the one cycle-length-6 graph class is the 6-cycle itself
         vals6 = by_girth[6].vals
         assert abs(vals6.max() - kf_spectral(make_graph(6, [(i, (i + 1) % 6) for i in range(6)]))) < 1e-9
+
+
+def _full_deleted_spectrum(n, subs):
+    """The n x n route the deleted-edge kernel replaced: eigvalsh of K_n - H's Laplacian."""
+    A = (1.0 - np.eye(n)) - batch_adjacency(n, subs, float)
+    L = -A
+    L[:, range(n), range(n)] = A.sum(axis=2)
+    return np.linalg.eigvalsh(L)
+
+
+def _deleted_eigenvalues(n, subs):
+    ends = batch_ends(n, subs)
+    return batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted=True)
+
+
+def _all_subsets(n, p):
+    m = n * (n - 1) // 2
+    return np.array(list(combinations(range(m), p)), dtype=np.int64).reshape(math.comb(m, p), p)
+
+
+def _deleted_rows(n):
+    """1..4 rows of p sorted edge indices of K_n, p <= n + 3, the same p for every row."""
+    m = n * (n - 1) // 2
+    return st.integers(0, min(n + 3, m)).flatmap(
+        lambda p: st.lists(st.sets(st.integers(0, m - 1), min_size=p, max_size=p).map(sorted), min_size=1, max_size=4)
+    )
+
+
+# Every row of these spaces: p = 0 (no solve), p = 1, the perfect matchings at
+# n = 8, p = 4, and more deleted edges than vertices at n = 6.
+SMALL_DELETED = [(n, p) for n in range(2, 9) for p in range(min(4, n * (n - 1) // 2) + 1)]
+SMALL_DELETED += [(6, p) for p in range(6, 10)]
+
+
+def _max_error(n, subs):
+    return np.abs(_deleted_eigenvalues(n, subs) - _full_deleted_spectrum(n, subs)).max()
+
+
+class TestDeletedSpectrum:
+    """K_n - H's spectrum from H's p x p edge Gram matrix (or L(H) when p >= n)
+    against the full n x n eigensolve, which stays as the oracle, to n * 1e-13."""
+
+    @pytest.mark.parametrize("n,p", SMALL_DELETED)
+    def test_every_row_of_small_spaces(self, n, p):
+        subs = _all_subsets(n, p)
+        assert _deleted_eigenvalues(n, subs).shape == (subs.shape[0], n)
+        assert _max_error(n, subs) <= n * 1e-13
+
+    def test_no_deleted_edge_calls_no_eigensolver(self, monkeypatch):
+        def fail(matrix):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        eigs = _deleted_eigenvalues(7, np.zeros((3, 0), dtype=np.int64))
+        assert eigs.tolist() == [[0.0] + [7.0] * 6] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 62).flatmap(lambda n: st.tuples(st.just(n), _deleted_rows(n))))
+    @example((62, [[i * (123 - i) // 2 for i in range(0, 62, 2)]]))  # the perfect matching (0,1), (2,3), ...
+    @example((62, [list(range(31))]))  # a 31-star at vertex 0
+    @example((62, [list(range(65))]))  # p >= n
+    def test_random_rows_up_to_62_vertices(self, case):
+        n, rows = case
+        subs = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))
+        assert _max_error(n, subs) <= n * 1e-13
+
+    def test_named_deletion_patterns_match_closed_forms(self):
+        # g6, g7 and g8 have no catalogued form; the resistance route stands in
+        for n in range(6, 41):
+            index = {e: i for i, e in enumerate(complete_edge_table(n))}
+            for i, edges in GI_PATTERNS.items():
+                spec = FamilySpec("gi", (n, i))
+                subs = np.array([[index[e] for e in edges]], dtype=np.int64).reshape(1, len(edges))
+                connected, kf = batch_kf(n, _deleted_eigenvalues(n, subs))
+                form = closed_form_kf(spec)
+                exact = float(form) if form is not None else kf_resistance(build(spec))
+                assert connected[0] and abs(kf[0] - exact) <= 1e-12 * exact

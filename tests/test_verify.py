@@ -177,6 +177,26 @@ class TestBlockKernels:
             assert (scan.checked, scan.connected, scan.ranks.size, scan.failures) == (2, 0, 0, [])
 
 
+    @pytest.mark.parametrize("n,p", [(6, 2), (6, 3), (7, 3)])
+    @pytest.mark.parametrize("kind", ["matching", "star"])
+    def test_deleted_shape_check_matches_per_rank_loop(self, n, p, kind):
+        # every rank of the space, so most fail: the per-rank loop it replaced is the oracle
+        spec = deleted_edges(n, p)
+        ranks = np.arange(cardinality(spec))
+        got = verify.VerificationReport("t", {})
+        verify._check_deleted_shape(got, spec, ranks, kind)
+        expected = []
+        for rank in ranks.tolist():
+            g = verify.member(spec, rank)
+            shape = complement_shape(g)
+            if shape != ComplementShape(kind, p):
+                expected.append(verify._failure(g, f"complement {shape.kind}", f"{kind}({p})"))
+        assert got.counterexamples == expected
+        assert len(expected) == cardinality(spec) - (
+            count_labeled_matchings(n, p) if kind == "matching" else count_labeled_stars(n, p)
+        )
+
+
 class TestCheckIdentity:
     def test_cut_vertex_path_composition(self):
         # two 3-vertex paths glued end to end make a 5-vertex path, Kf = 20
