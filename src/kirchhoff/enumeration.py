@@ -19,9 +19,9 @@ both :func:`prufer_decode` and the Wiener kernel (:func:`wiener_block`):
 each leaf is the lowest zero bit of int64 vertex bitmasks, and the kernel
 packs a row's subtree sizes into 4-bit lanes of one int64.  Every space is
 walked in blocks of up to 2^14 rows (:func:`block_rows`); the subset Kf
-kernel eigensolves only a block's connected rows, found by an exact bitmask
-test (:func:`batch_connected`); a ``deleted-edges`` row's spectrum comes
-from its p deleted edges, a p x p solve (:func:`batch_eigenvalues`).  One
+kernel eigensolves only a block's connected rows (:func:`connected_rows`);
+a ``deleted-edges`` row is solved and counted once per distinct p x p Gram
+matrix of its p deleted edges in a block (:func:`gram_classes`).  One
 scan engine (:func:`scan`) runs every exhaustive scan: blocks start at
 multiples of the block size, each job takes a run of whole blocks, and
 every block's partial result merges in rank order, so the job count
@@ -269,6 +269,13 @@ def batch_connected(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
             return reach == (1 << n) - 1
 
 
+def connected_rows(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
+    """A block's connected rows: every row when at most n - 2 edges are deleted (K_n is (n-1)-edge-connected)."""
+    if deleted and subsets.shape[1] <= n - 2:
+        return np.arange(subsets.shape[0])
+    return np.flatnonzero(batch_connected(n, subsets, deleted))
+
+
 def batch_ends(n: int, subsets: np.ndarray) -> np.ndarray:
     """(B, k, 2) endpoints of the edges each subset row selects: a block's one
     gather, from which its degrees and Laplacians are built."""
@@ -309,7 +316,24 @@ def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, dt
     return L
 
 
-def batch_eigenvalues(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool) -> np.ndarray:
+def _edge_gram(ends: np.ndarray) -> np.ndarray:
+    """(B, p, p) int64 Gram matrices N N^T of each row's edges, N its oriented incidence matrix."""
+    u, v = ends[..., 0, None], ends[..., 1, None]  # (B, p, 1): edge e's ends down the rows
+    uf, vf = u.transpose(0, 2, 1), v.transpose(0, 2, 1)  # edge f's ends along the columns
+    return (u == uf).astype(np.int64) + (v == vf) - (u == vf) - (v == uf)
+
+
+def gram_classes(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(first row of each class, class of each row) of a deleted-edges block by N N^T, keyed by its
+    upper entries (each -1, 0 or 1; the diagonal is 2) in base 3; None where that overflows int64 (p >= 10)."""
+    e, f = np.triu_indices(ends.shape[1], 1)
+    if 3**e.size > np.iinfo(np.int64).max:
+        return None
+    key = (_edge_gram(ends)[:, e, f] + 1) @ 3 ** np.arange(e.size)
+    return tuple(np.unique(key, return_index=True, return_inverse=True)[1:])
+
+
+def batch_eigenvalues(n: int, ends: np.ndarray, deleted: bool, classes=None) -> np.ndarray:
     """Ascending Laplacian eigenvalues for each row of a block (see batch_laplacian).
 
     In ``deleted`` mode the spectrum comes from the p deleted edges H alone:
@@ -318,18 +342,17 @@ def batch_eigenvalues(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool) 
     Theory B 16, 1974).  L(H) = N^T N for H's oriented incidence matrix N,
     whose p x p Gram matrix N N^T has the same nonzero eigenvalues, so for
     0 < p < n the solve is p x p, for p >= n it is L(H) itself, and p = 0
-    needs none.
+    needs none.  With :func:`gram_classes`, one N N^T per class is solved, and as eigvalsh
+    solves each matrix of a stack alone, every row gets the bits of a solve per row.
     """
     if not deleted:
-        return np.linalg.eigvalsh(batch_laplacian(n, ends, deg, False))
+        return np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends), False))
     B, p = ends.shape[:2]
     if p >= n:
-        lam = np.linalg.eigvalsh(batch_laplacian(n, ends, deg, False))[:, 1:]
+        lam = np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends), False))[:, 1:]
     elif p:
-        u, v = ends[..., 0, None], ends[..., 1, None]  # (B, p, 1): edge e's ends down the rows
-        uf, vf = u.transpose(0, 2, 1), v.transpose(0, 2, 1)  # edge f's ends along the columns
-        gram = (u == uf).astype(float) + (v == vf) - (u == vf) - (v == uf)
-        lam = np.linalg.eigvalsh(gram)
+        first, which = classes or (slice(None), slice(None))
+        lam = np.linalg.eigvalsh(_edge_gram(ends[first]).astype(float))[which]
     else:
         lam = np.zeros((B, 0))
     eigs = np.full((B, n), float(n))
@@ -338,16 +361,21 @@ def batch_eigenvalues(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool) 
     return eigs
 
 
-def batch_tree_counts(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, eigs: np.ndarray) -> np.ndarray:
+def batch_tree_counts(
+    n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, eigs: np.ndarray, classes=None
+) -> np.ndarray:
     """Exact spanning-tree count of each row of a block: the determinant of its
     reduced Laplacian (int64, or Python ints where int64 could overflow),
-    cross-checked against the row's ascending eigenvalues ``eigs``.
+    cross-checked on every row against its ascending eigenvalues ``eigs``.
 
-    An int8 Laplacian holds every entry (degrees are at most 61), so only
-    the (B, n-1, n-1) minor is a full-width integer copy.
+    With :func:`gram_classes`, the determinant runs once per class, as t = n^(n-2-p) det(nI - N N^T),
+    on the full minor of the class's first row, built from its edges, not N N^T: the cross-check
+    stays independent of the Gram route.  The Laplacian is int8 (degrees are at most 61), so only
+    the minor is a full-width integer copy.
     """
-    minor = batch_laplacian(n, ends, deg, deleted, np.int8)[:, 1:, 1:]
-    counts = batch_determinant(minor)
+    first, which = classes or (slice(None), slice(None))
+    minor = batch_laplacian(n, ends[first], deg[first], deleted, np.int8)[:, 1:, 1:]
+    counts = batch_determinant(minor)[which]
     check_tree_counts(counts, np.prod(eigs[:, 1:], axis=1) / n)
     return counts
 
@@ -537,9 +565,9 @@ def merge_subset_scans(objective: str, top: float, parts: list[SubsetScan]) -> S
 
 
 def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
-    idx = np.flatnonzero(batch_connected(n, subs, deleted))
+    idx = connected_rows(n, subs, deleted)
     ends = batch_ends(n, subs[idx])
-    _, kf = batch_kf(n, batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted))
+    _, kf = batch_kf(n, batch_eigenvalues(n, ends, deleted, gram_classes(ends) if deleted else None))
     if classify is None:
         pooled = _pool_top_groups(kf, rank0 + idx, objective, top)
         return SubsetScan(subs.shape[0], idx.size, *pooled)

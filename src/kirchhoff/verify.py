@@ -510,14 +510,15 @@ def _failure(g: Graph, observed: str, expected: str) -> Counterexample:
 
 def _deletion_block(spec: EnumerationSpec, subs: np.ndarray):
     """(row indices, Kf, spanning-tree count, max deleted degree) of a block's
-    connected rows, from one endpoint gather and one eigensolve."""
+    connected rows, from one endpoint gather and one eigensolve and determinant per Gram class."""
     n = spec.n
-    idx = np.flatnonzero(enum.batch_connected(n, subs, True))
+    idx = enum.connected_rows(n, subs, True)
     ends = enum.batch_ends(n, subs[idx])
     deg = enum.batch_degrees(n, ends)
-    eigs = enum.batch_eigenvalues(n, ends, deg, True)
+    classes = enum.gram_classes(ends)
+    eigs = enum.batch_eigenvalues(n, ends, True, classes)
     _, kf = enum.batch_kf(n, eigs)
-    return idx, kf, enum.batch_tree_counts(n, ends, deg, True, eigs), deg.max(axis=1)
+    return idx, kf, enum.batch_tree_counts(n, ends, deg, True, eigs, classes), deg.max(axis=1)
 
 
 def _distinct_pairs(n: int, delta: np.ndarray, t: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:

@@ -8,21 +8,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kirchhoff.enumeration as enum
+import kirchhoff.verify as verify
 from kirchhoff.enumeration import (
     BudgetExceededError,
     batch_adjacency,
+    batch_connected,
     batch_cycle_length,
     batch_degrees,
     batch_eigenvalues,
     batch_ends,
     batch_kf,
+    batch_laplacian,
+    batch_tree_counts,
     block_rows,
     cardinality,
     check_budget,
     complete_edge_table,
+    connected_rows,
     connected_with_edges,
     deleted_edges,
     enumerate_space,
+    gram_classes,
     labeled_trees,
     member,
     prufer_decode,
@@ -35,7 +41,7 @@ from kirchhoff.enumeration import (
 )
 from kirchhoff.families import GI_PATTERNS, FamilySpec, build, closed_form_kf
 from kirchhoff.graphs import is_connected, make_graph
-from kirchhoff.spectral import kf_resistance, kf_spectral, wiener
+from kirchhoff.spectral import batch_determinant, kf_resistance, kf_spectral, wiener
 
 
 def block_extent(rank0, rows):
@@ -266,7 +272,7 @@ class TestBulkKernels:
         table = complete_edge_table(6)
         subs = np.array(list(combinations(range(15), 2))[:40], dtype=np.int64)
         ends = batch_ends(6, subs)
-        eigs = batch_eigenvalues(6, ends, batch_degrees(6, ends), deleted=True)
+        eigs = batch_eigenvalues(6, ends, True, gram_classes(ends))
         conn, kf = batch_kf(6, eigs)
         for row in range(40):
             g = make_graph(6, set(table) - {table[i] for i in subs[row]})
@@ -288,7 +294,7 @@ class TestBulkKernels:
         L[:, range(n), range(n)] = deg
         reference = np.linalg.eigvalsh(L)
         ends = batch_ends(n, subs)
-        eigs = batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted)
+        eigs = batch_eigenvalues(n, ends, deleted)
         assert (eigs.view(np.int64) == reference.view(np.int64)).all()
 
     def test_wiener_scan_matches_streamed_trees(self):
@@ -386,7 +392,7 @@ def _full_deleted_spectrum(n, subs):
 
 def _deleted_eigenvalues(n, subs):
     ends = batch_ends(n, subs)
-    return batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted=True)
+    return batch_eigenvalues(n, ends, True, gram_classes(ends))
 
 
 def _all_subsets(n, p):
@@ -451,3 +457,139 @@ class TestDeletedSpectrum:
                 form = closed_form_kf(spec)
                 exact = float(form) if form is not None else kf_resistance(build(spec))
                 assert connected[0] and abs(kf[0] - exact) <= 1e-12 * exact
+
+
+def _incidence_grams(n, subs):
+    """(B, p, p) int64 Gram matrices N N^T, N each row's (p, n) oriented incidence matrix."""
+    ends = np.array(complete_edge_table(n), dtype=np.int64).reshape(-1, 2)[subs]
+    B, p = subs.shape
+    N = np.zeros((B, p, n), dtype=np.int64)
+    rows, edges = np.arange(B)[:, None], np.arange(p)
+    N[rows, edges, ends[..., 0]] = 1
+    N[rows, edges, ends[..., 1]] = -1
+    return N @ N.transpose(0, 2, 1)
+
+
+def _per_row_gram_spectrum(n, subs):
+    """Each row's deleted-edges spectrum (0 < p < n) from an eigensolve of its own N N^T."""
+    lam = np.linalg.eigvalsh(_incidence_grams(n, subs).astype(float))
+    eigs = np.full((subs.shape[0], n), float(n))
+    eigs[:, 0] = 0.0
+    eigs[:, 1 : 1 + subs.shape[1]] = n - lam[:, ::-1]
+    return eigs
+
+
+def _grouped_counts(n, subs):
+    ends = batch_ends(n, subs)
+    deg = batch_degrees(n, ends)
+    classes = gram_classes(ends)
+    return batch_tree_counts(n, ends, deg, True, batch_eigenvalues(n, ends, True, classes), classes)
+
+
+def _per_row_counts(n, subs):
+    """Bareiss on each row's own full (n-1)-minor of L(K_n - H)."""
+    ends = batch_ends(n, subs)
+    return batch_determinant(batch_laplacian(n, ends, batch_degrees(n, ends), True, np.int8)[:, 1:, 1:])
+
+
+def _repeated_rows(n, max_p, min_p=1):
+    """(n, rows): 1..12 rows of p sorted edge indices of K_n, drawn with repeats
+    from 1..4 distinct rows, min_p <= p <= max_p, the same p for every row."""
+    m = n * (n - 1) // 2
+    return (
+        st.integers(min(min_p, max_p, m), min(max_p, m))
+        .flatmap(lambda p: st.lists(st.sets(st.integers(0, m - 1), min_size=p, max_size=p).map(sorted), min_size=1, max_size=4))
+        .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        .map(lambda rows: (n, rows))
+    )
+
+
+def _subs(rows):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))
+
+
+GRAM_SPACES = [(n, p) for n in range(2, 9) for p in range(1, min(4, n - 1) + 1)]
+COUNT_SPACES = [(n, p) for n in range(2, 9) for p in range(min(4, n * (n - 1) // 2) + 1)]
+
+
+class TestGramClasses:
+    """A deleted-edges block eigensolves and counts one row per distinct Gram
+    matrix N N^T; every row must get exactly what a per-row solve gives it."""
+
+    @staticmethod
+    def _assert_classes_and_spectra(n, subs):
+        grams = _incidence_grams(n, subs).reshape(subs.shape[0], -1)
+        first, which = gram_classes(batch_ends(n, subs))
+        assert (grams[first][which] == grams).all()  # a class holds one Gram matrix ...
+        assert first.size == np.unique(grams, axis=0).shape[0]  # ... and no two classes share one
+        got, want = _deleted_eigenvalues(n, subs), _per_row_gram_spectrum(n, subs)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        assert (batch_kf(n, got)[1].view(np.int64) == batch_kf(n, want)[1].view(np.int64)).all()
+
+    @pytest.mark.parametrize("n,p", GRAM_SPACES)
+    def test_every_row_bitwise_as_its_own_gram_solve(self, n, p):
+        self._assert_classes_and_spectra(n, _all_subsets(n, p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 62).flatmap(lambda n: _repeated_rows(n, min(9, n - 1))))
+    @example((62, [list(range(9))] * 5))  # one class: a 9-star, repeated
+    @example((62, [[0], [7], [1000], [0]]))  # one class: every single edge has N N^T = [2]
+    @example((9, [[0, 1, 2], [0, 1, 8], [0, 1, 2], [0, 8, 15]]))  # a star, a triangle, a star, a path
+    def test_random_blocks_up_to_62_vertices(self, case):
+        n, rows = case
+        self._assert_classes_and_spectra(n, _subs(rows))
+
+    @pytest.mark.parametrize("n,p", COUNT_SPACES)
+    def test_every_row_counts_as_its_own_minor(self, n, p):
+        subs = _all_subsets(n, p)
+        assert _grouped_counts(n, subs).tolist() == _per_row_counts(n, subs).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 21).flatmap(lambda n: _repeated_rows(n, 9, 0)))
+    @example((21, [[0, 1], [0, 19], [0, 1], [0, 209]]))  # counts near 10^25: Python-int steps
+    def test_random_counts_up_to_21_vertices(self, case):
+        n, rows = case
+        subs = _subs(rows)
+        counts = _grouped_counts(n, subs)
+        assert counts.tolist() == _per_row_counts(n, subs).tolist()
+        p = subs.shape[1]
+        if p <= n - 2:  # t(K_n - H) = n^(n-2-p) det(nI - N N^T)
+            gram_det = batch_determinant(n * np.eye(p, dtype=np.int64) - _incidence_grams(n, subs))
+            assert counts.tolist() == [n ** (n - 2 - p) * int(d) for d in gram_det]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_at_most_n_minus_2_deletions_leave_every_row_connected(self, n):
+        m = n * (n - 1) // 2
+        for p in range(n - 1):
+            for _, subs in subset_blocks(m, p, 0, math.comb(m, p), block_rows(n)):
+                assert batch_connected(n, subs, True).all()
+                assert connected_rows(n, subs, True).tolist() == list(range(subs.shape[0]))
+
+    def test_connectivity_untested_below_n_minus_1_deletions(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("batch_connected called")
+
+        monkeypatch.setattr(enum, "batch_connected", fail)
+        assert scan_subsets(deleted_edges(6, 4), "max", 1).connected == math.comb(15, 4)
+        idx, _, _, _ = verify._deletion_block(deleted_edges(8, 4), _all_subsets(8, 4)[:100])
+        assert idx.tolist() == list(range(100))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_n_minus_1_deletions_still_skip_the_stars(self, n):
+        scan = scan_subsets(deleted_edges(n, n - 1), "min", 1)
+        assert scan.checked - scan.connected == n  # the n stars that isolate a vertex
+
+    def test_keys_past_int64_solve_every_row(self):
+        # p = 10 at n = 22, reachable with a raised --budget: 3^45 keys overflow int64
+        n, index = 22, {e: i for i, e in enumerate(complete_edge_table(22))}
+        star = [(0, v) for v in range(1, 11)]
+        matching = [(2 * i, 2 * i + 1) for i in range(10)]
+        path = [(i, i + 1) for i in range(10)]
+        subs = _subs([sorted(index[e] for e in edges) for edges in (star, matching, path, star, path)])
+        assert gram_classes(batch_ends(n, subs)) is None
+        assert _max_error(n, subs) <= n * 1e-13
+        idx, kf, t, dmax = verify._deletion_block(deleted_edges(n, 10), subs)
+        exact = batch_kf(n, _full_deleted_spectrum(n, subs))[1]
+        assert idx.tolist() == list(range(5)) and (np.abs(kf - exact) <= 1e-12 * exact).all()
+        assert t.tolist() == _per_row_counts(n, subs).tolist()
+        assert dmax.tolist() == [10, 1, 2, 10, 2]

@@ -16,6 +16,7 @@ from kirchhoff.enumeration import (
     batch_tree_counts,
     complete_edge_table,
     deleted_edges,
+    gram_classes,
     subset_blocks,
 )
 from kirchhoff.families import FamilySpec, build
@@ -373,7 +374,7 @@ class TestZeroThreshold:
 
 def _eigenvalues(n, subs, deleted):
     ends = batch_ends(n, subs)
-    return batch_eigenvalues(n, ends, batch_degrees(n, ends), deleted)
+    return batch_eigenvalues(n, ends, deleted, gram_classes(ends) if deleted else None)
 
 
 def _subset_rows(n):
@@ -418,6 +419,7 @@ class TestBatchConnectivity:
         graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
         ends = batch_ends(n, subs)
         deg = batch_degrees(n, ends)
-        counts = batch_tree_counts(n, ends, deg, deleted, batch_eigenvalues(n, ends, deg, deleted))
+        classes = gram_classes(ends) if deleted else None
+        counts = batch_tree_counts(n, ends, deg, deleted, batch_eigenvalues(n, ends, deleted, classes), classes)
         assert [int(t) for t in counts] == [tree_count(g) for g in graphs]
         assert [bool(t) for t in counts] == [is_connected(g) for g in graphs]
