@@ -19,9 +19,12 @@ both :func:`prufer_decode` and the Wiener kernel (:func:`wiener_block`):
 each leaf is the lowest zero bit of int64 vertex bitmasks, and the kernel
 packs a row's subtree sizes into 4-bit lanes of one int64.  Every space is
 walked in blocks of up to 2^14 rows (:func:`block_rows`); the subset Kf
-kernel eigensolves only a block's connected rows (:func:`connected_rows`);
-a ``deleted-edges`` row is solved and counted once per distinct p x p Gram
-matrix of its p deleted edges in a block (:func:`gram_classes`).  One
+kernel solves only a block's connected rows (:func:`connected_rows`).  A
+``connected-with-edges`` row's Kf comes from the inverse of its reduced
+Laplacian, by a Gauss-Jordan sweep across the block's rows-last Laplacian
+stack (:func:`batch_kf_sweep`), with no eigensolve; a ``deleted-edges`` row
+is eigensolved and counted once per distinct p x p Gram matrix of its p
+deleted edges in a block (:func:`gram_classes`).  One
 scan engine (:func:`scan`) runs every exhaustive scan: blocks start at
 multiples of the block size, each job takes a run of whole blocks, and
 every block's partial result merges in rank order, so the job count
@@ -46,6 +49,11 @@ DEFAULT_BUDGET = 10**8
 
 # The one tie rule (see tied): relative gap between two Kf values that makes them two values.
 TIE_TOL = 1e-7
+
+# Rows per Gauss-Jordan sweep (batch_kf_sweep): every block's connected rows go
+# through stacks of this one size, which the allocator reuses, where one stack
+# per block would vary with the block's connected count and fragment the heap.
+SWEEP_ROWS = 2048
 
 
 class BudgetExceededError(ValueError):
@@ -257,9 +265,11 @@ def batch_connected(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
     one sweep over the vertices at a time, until no row changes.
     """
     bits = _edge_bits(n)
-    masks = np.take(bits, subsets.T, axis=1).sum(axis=1)  # (n, B)
+    masks = np.zeros((n, subsets.shape[0]), dtype=np.int64)
+    for column in subsets.T:  # one (n, B) gather per subset slot
+        masks += bits[:, column]
     if deleted:
-        masks = bits.sum(axis=1)[:, None] - masks
+        np.subtract(bits.sum(axis=1)[:, None], masks, out=masks)
     reach = np.ones(subsets.shape[0], dtype=np.int64)
     while True:
         before = reach.copy()
@@ -305,11 +315,13 @@ def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, dt
     ``deleted`` interprets the selected edges as removed from K_n rather
     than as the edge set itself.  Off-diagonal zeros are -0.0, as -A gives:
     LAPACK's Householder step reads the sign of zero, which reaches the last
-    bits of a connected-with-edges row's float Kf.
+    bits of an eigenvalue.  The stack is stored rows-last: the result is a
+    view of an (n, n, B) array, ``L.transpose(1, 2, 0)``, in which each
+    entry of every row is one contiguous length-B vector (:func:`batch_kf_sweep`).
     """
     B = ends.shape[0]
     rows = np.arange(B)[:, None]
-    L = np.full((B, n, n), -1.0 if deleted else -0.0, dtype=dtype)
+    L = np.full((n, n, B), -1.0 if deleted else -0.0, dtype=dtype).transpose(2, 0, 1)
     L[rows, ends[..., 0], ends[..., 1]] = L[rows, ends[..., 1], ends[..., 0]] = -0.0 if deleted else -1.0
     diag = np.arange(n)
     L[:, diag, diag] = n - 1 - deg if deleted else deg
@@ -335,6 +347,10 @@ def gram_classes(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 def batch_eigenvalues(n: int, ends: np.ndarray, deleted: bool, classes=None) -> np.ndarray:
     """Ascending Laplacian eigenvalues for each row of a block (see batch_laplacian).
+
+    Outside ``deleted`` mode the full Laplacian is eigensolved; scans take a
+    connected-with-edges row's Kf from :func:`batch_kf_sweep` instead, and
+    the tests keep this route as its oracle.
 
     In ``deleted`` mode the spectrum comes from the p deleted edges H alone:
     L(K_n - H) = nI - J - L(H), so it is 0, then n - lambda for each of
@@ -387,6 +403,39 @@ def batch_kf(n: int, eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kf = n * np.sum(1.0 / np.maximum(eigs[:, 1:], 1e-300), axis=1)
     kf[~connected] = np.nan
     return connected, kf
+
+
+def _invert_rows_last(X: np.ndarray) -> None:
+    """Invert an (m, m, B) stack of positive definite matrices in place, by an
+    unpivoted Gauss-Jordan sweep: every step is a length-B vector operation."""
+    update = np.empty(X.shape[1:])
+    for k in range(X.shape[0]):
+        inverse = 1.0 / X[k, k]
+        X[k, k] = 1.0
+        X[k] *= inverse
+        for i in range(X.shape[0]):
+            if i != k:
+                np.multiply(X[k], X[i, k], out=update)
+                X[i, k] = 0.0
+                X[i] -= update
+
+
+def batch_kf_sweep(n: int, ends: np.ndarray) -> np.ndarray:
+    """Kirchhoff index of each row of a block whose selected edges form a connected graph.
+
+    With X the inverse of the reduced Laplacian L_0 (vertex 0 removed),
+    R(u, v) = X_uu + X_vv - 2 X_uv and R(u, 0) = X_uu, so summing over the
+    pairs gives Kf = n tr X - 1^T X 1.  L_0 of a connected row is positive
+    definite, so X comes from an unpivoted Gauss-Jordan sweep in place over
+    the rows-last Laplacian stack, SWEEP_ROWS rows at a time.
+    """
+    kf = np.empty(ends.shape[0])
+    for start in range(0, ends.shape[0], SWEEP_ROWS):
+        chunk = ends[start : start + SWEEP_ROWS]
+        X = batch_laplacian(n, chunk, batch_degrees(n, chunk), False).transpose(1, 2, 0)[1:, 1:]
+        _invert_rows_last(X)
+        kf[start : start + SWEEP_ROWS] = n * np.einsum("iib->b", X) - X.sum(axis=(0, 1))
+    return kf
 
 
 def batch_cycle_length(n: int, subsets: np.ndarray) -> np.ndarray:
@@ -567,7 +616,10 @@ def merge_subset_scans(objective: str, top: float, parts: list[SubsetScan]) -> S
 def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
     idx = connected_rows(n, subs, deleted)
     ends = batch_ends(n, subs[idx])
-    _, kf = batch_kf(n, batch_eigenvalues(n, ends, deleted, gram_classes(ends) if deleted else None))
+    if deleted:
+        _, kf = batch_kf(n, batch_eigenvalues(n, ends, True, gram_classes(ends)))
+    else:
+        kf = batch_kf_sweep(n, ends)
     if classify is None:
         pooled = _pool_top_groups(kf, rank0 + idx, objective, top)
         return SubsetScan(subs.shape[0], idx.size, *pooled)

@@ -18,6 +18,7 @@ from kirchhoff.enumeration import (
     batch_eigenvalues,
     batch_ends,
     batch_kf,
+    batch_kf_sweep,
     batch_laplacian,
     batch_tree_counts,
     block_rows,
@@ -34,6 +35,7 @@ from kirchhoff.enumeration import (
     prufer_decode,
     prufer_rows,
     prufer_steps,
+    row_graph,
     scan_labeled_trees,
     scan_subsets,
     subset_blocks,
@@ -380,6 +382,70 @@ class TestBulkKernels:
         # the one cycle-length-6 graph class is the 6-cycle itself
         vals6 = by_girth[6].vals
         assert abs(vals6.max() - kf_spectral(make_graph(6, [(i, (i + 1) % 6) for i in range(6)]))) < 1e-9
+
+
+def _eigvalsh_kf(n, ends):
+    """The route the sweep replaced: Kf from each connected row's full Laplacian spectrum."""
+    return batch_kf(n, batch_eigenvalues(n, ends, False))[1]
+
+
+def _connected_ends(n, m):
+    """Endpoints of every connected m-edge graph on n labeled vertices."""
+    subs = _all_subsets(n, m)
+    return batch_ends(n, subs[connected_rows(n, subs, False)])
+
+
+def _block_results(spec, top, classify, monkeypatch, route):
+    """Each block's pooled (first rank, ranks, value groups with formatted leads), by key."""
+    monkeypatch.setattr(enum, "batch_kf_sweep", route)
+    results = []
+    for rank0, rows in enum._blocks(spec, 0, cardinality(spec)):
+        part = enum._kf_kernel(spec.n, False, "max", top, classify, rank0, rows)
+        for key, pool in sorted(part.by_key.items()) or [(None, part)]:
+            groups = enum.value_groups(pool.vals, pool.ranks, "max", top)
+            leads = [(verify.format_real(lead), ranks.tolist()) for lead, ranks in groups]
+            results.append((rank0, key, part.connected, sorted(pool.ranks.tolist()), leads))
+    return results
+
+
+class TestSweepKf:
+    """Connected-with-edges Kf = n tr X - 1^T X 1, X the inverse of the reduced
+    Laplacian, against Kf from the eigvalsh spectrum and, on trees, the Wiener index."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_connected_row_as_its_spectrum(self, n):
+        for m in range(n * (n - 1) // 2 + 1):
+            ends = _connected_ends(n, m)
+            exact = _eigvalsh_kf(n, ends)
+            assert (np.abs(batch_kf_sweep(n, ends) - exact) <= 1e-12 * exact).all()
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_tree_rows_as_their_wiener_index(self, n):
+        spec = connected_with_edges(n, n - 1)
+        subs = _all_subsets(n, n - 1)
+        idx = connected_rows(n, subs, False)
+        assert idx.size == n ** (n - 2)  # Cayley: every connected n-1 edge graph is a tree
+        W = np.array([wiener(row_graph(spec, row)) for row in subs[idx].tolist()], dtype=float)
+        assert (np.abs(batch_kf_sweep(n, batch_ends(n, subs[idx])) - W) <= 1e-12 * W).all()
+
+    @pytest.mark.parametrize(
+        "spec,top,classify",
+        [(connected_with_edges(7, 8), 3, None), (connected_with_edges(7, 7), 1, batch_cycle_length)],
+        ids=["top-3", "unicyclic"],
+    )
+    def test_every_block_pools_as_the_eigvalsh_route(self, spec, top, classify, monkeypatch):
+        sweep = _block_results(spec, top, classify, monkeypatch, batch_kf_sweep)
+        reference = _block_results(spec, top, classify, monkeypatch, _eigvalsh_kf)
+        assert sweep == reference
+
+    def test_connected_scans_call_no_eigensolver(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        spec = connected_with_edges(6, 7)
+        scan = scan_subsets(spec, "max", 1)
+        assert scan.connected == sum(1 for _ in enumerate_space(spec)) and scan.vals.size > 0
 
 
 def _full_deleted_spectrum(n, subs):
