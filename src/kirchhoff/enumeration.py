@@ -24,7 +24,9 @@ kernel solves only a block's connected rows (:func:`connected_rows`).  A
 Laplacian, by a Gauss-Jordan sweep across the block's rows-last Laplacian
 stack (:func:`batch_kf_sweep`), with no eigensolve; a ``deleted-edges`` row
 is eigensolved and counted once per distinct p x p Gram matrix of its p
-deleted edges in a block (:func:`gram_classes`).  One
+deleted edges in a block (:func:`gram_classes`).  Every p-edge set of K_n,
+n >= 2p, falls into one exact class of :func:`deletion_classes`, found by
+one scan at 2p vertices.  One
 scan engine (:func:`scan`) runs every exhaustive scan: blocks start at
 multiples of the block size, each job takes a run of whole blocks, and
 every block's partial result merges in rank order, so the job count
@@ -43,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import Graph, complete_edge_table, is_connected, make_graph
-from .spectral import batch_determinant, check_tree_counts, zero_tolerance
+from .spectral import batch_determinant, charpoly, check_tree_counts, zero_tolerance
 
 DEFAULT_BUDGET = 10**8
 
@@ -292,16 +294,6 @@ def batch_ends(n: int, subsets: np.ndarray) -> np.ndarray:
     return _edge_table(n)[subsets]
 
 
-def batch_adjacency(n: int, subsets: np.ndarray, dtype) -> np.ndarray:
-    """(B, n, n) adjacency matrices of the graphs whose edges the subset rows select."""
-    ends = batch_ends(n, subsets)
-    A = np.zeros((subsets.shape[0], n, n), dtype=dtype)
-    rows = np.arange(subsets.shape[0])[:, None]
-    A[rows, ends[..., 0], ends[..., 1]] = 1
-    A[rows, ends[..., 1], ends[..., 0]] = 1
-    return A
-
-
 def batch_degrees(n: int, ends: np.ndarray) -> np.ndarray:
     """(B, n) vertex degrees of the selected edges, from a block's (B, k, 2) endpoints."""
     B = ends.shape[0]
@@ -335,13 +327,21 @@ def _edge_gram(ends: np.ndarray) -> np.ndarray:
     return (u == uf).astype(np.int64) + (v == vf) - (u == vf) - (v == uf)
 
 
-def gram_classes(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(first row of each class, class of each row) of a deleted-edges block by N N^T, keyed by its
-    upper entries (each -1, 0 or 1; the diagonal is 2) in base 3; None where that overflows int64 (p >= 10)."""
+def gram_keys(ends: np.ndarray) -> np.ndarray | None:
+    """Each row's N N^T as one int64, its upper entries (each -1, 0 or 1; the diagonal
+    is 2) in base 3; None where that overflows int64 (p >= 10)."""
     e, f = np.triu_indices(ends.shape[1], 1)
     if 3**e.size > np.iinfo(np.int64).max:
         return None
-    key = (_edge_gram(ends)[:, e, f] + 1) @ 3 ** np.arange(e.size)
+    return (_edge_gram(ends)[:, e, f] + 1) @ 3 ** np.arange(e.size)
+
+
+def gram_classes(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(first row of each class, class of each row) of a deleted-edges block by N N^T
+    (:func:`gram_keys`); None where the key overflows int64 (p >= 10)."""
+    key = gram_keys(ends)
+    if key is None:
+        return None
     return tuple(np.unique(key, return_index=True, return_inverse=True)[1:])
 
 
@@ -439,16 +439,24 @@ def batch_kf_sweep(n: int, ends: np.ndarray) -> np.ndarray:
 
 
 def batch_cycle_length(n: int, subsets: np.ndarray) -> np.ndarray:
-    """Vertices left after iterated leaf removal (the cycle, for unicyclic rows)."""
-    A = batch_adjacency(n, subsets, bool)
+    """Vertices left after iterated leaf removal (the cycle, for unicyclic rows).
+
+    Works on (B, n) degree counts: each pass cuts every live edge with a leaf
+    end and takes both ends' degrees down by one ``bincount``.
+    """
+    ends = batch_ends(n, subsets)
+    deg = batch_degrees(n, ends)
+    B = ends.shape[0]
+    flat = ends + n * np.arange(B)[:, None, None]
+    live = np.ones(flat.shape[:2], dtype=bool)
     for _ in range(n):
-        deg = A.sum(axis=2)
-        leaves = deg == 1
-        if not leaves.any():
+        leaf = deg.ravel() == 1
+        cut = live & (leaf[flat[..., 0]] | leaf[flat[..., 1]])
+        if not cut.any():
             break
-        keep = ~leaves
-        A &= keep[:, :, None] & keep[:, None, :]
-    return (A.sum(axis=2) > 0).sum(axis=1)
+        live &= ~cut
+        deg -= np.bincount(flat[cut].ravel(), minlength=B * n).reshape(B, n)
+    return (deg > 0).sum(axis=1)
 
 
 def wiener_block(n: int, rows: np.ndarray) -> np.ndarray:
@@ -493,10 +501,10 @@ def _sorted_groups(vals: np.ndarray, objective: str) -> tuple[np.ndarray, np.nda
 
 
 def _pool_top_groups(
-    vals: np.ndarray, ranks: np.ndarray, objective: str, top: float
+    vals: np.ndarray, ranks: np.ndarray, objective: str, top: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep every member of the first ``top`` value groups (every row, unsorted, if infinite)."""
-    if vals.size == 0 or top == math.inf:
+    """Keep every member of the first ``top`` value groups."""
+    if vals.size == 0:
         return vals, ranks
     order, groups = _sorted_groups(vals, objective)
     keep = order[groups < top]
@@ -596,7 +604,7 @@ class SubsetScan:
     by_key: dict = field(default_factory=dict)
 
 
-def merge_subset_scans(objective: str, top: float, parts: list[SubsetScan]) -> SubsetScan:
+def merge_subset_scans(objective: str, top: int, parts: list[SubsetScan]) -> SubsetScan:
     """One result from rank-ordered partials, keeping the ``top`` value groups."""
     keys = sorted({key for p in parts for key in p.by_key})
     merge = partial(merge_subset_scans, objective, top)
@@ -635,7 +643,7 @@ def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
 def scan_subsets(
     spec: EnumerationSpec,
     objective: str,
-    top: float,
+    top: int,
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
     classify=None,
@@ -652,6 +660,49 @@ def scan_subsets(
         jobs,
         budget,
     )
+
+
+def _class_kernel(n, rank0, subs) -> dict:
+    """(Gram key, touched vertices, max degree) -> (rows, first row's (p, 2) endpoints)
+    of a deleted-edges block."""
+    ends = batch_ends(n, subs)
+    deg = batch_degrees(n, ends)
+    keys = np.stack([gram_keys(ends), (deg > 0).sum(axis=1), deg.max(axis=1)], axis=1)
+    uniq, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    return {tuple(key): (int(c), ends[i]) for key, i, c in zip(uniq.tolist(), first, counts)}
+
+
+def _merge_classes(parts: list[dict]) -> dict:
+    """Summed row counts per key; a key keeps the endpoints of its lowest-rank row."""
+    classes: dict = {}
+    for part in parts:  # rank order
+        for key, (count, ends) in part.items():
+            total, first = classes.get(key, (0, ends))
+            classes[key] = (total + count, first)
+    return classes
+
+
+def deletion_classes(p: int) -> dict[tuple[tuple[int, ...], int, int], tuple[int, np.ndarray]]:
+    """Every p-edge set H of K_n, n >= 2p, by class: (Q, v, dmax) -> (q_v, one H's (p, 2) endpoints).
+
+    Q(x) = det(xI - N N^T) is the characteristic polynomial of H's edge Gram
+    matrix (:func:`charpoly`), v the number of vertices H touches and dmax
+    its largest degree; q_v counts the labeled H of the class on the vertex
+    set [v].  K_n - H has Kf = n - 1 - p + n Q'(n)/Q(n) (see
+    :func:`batch_eigenvalues`) and minimum degree n - 1 - dmax, and
+    ``deleted_edges(n, p)`` holds C(n, v) q_v rows of the class.  One scan
+    of ``deleted_edges(2p, p)`` (2 vertices for p < 2) finds every class:
+    its rows that touch v vertices number C(2p, v) q_v.  The scan keys rows
+    by Gram matrix, which depends on edge order and orientation; Q, v and
+    dmax do not, so the Gram classes collapse to them before dividing.
+    """
+    n0 = max(2, 2 * p)
+    by_gram = scan(deleted_edges(n0, p), partial(_class_kernel, n0), _merge_classes)
+    classes = _merge_classes(
+        [{(charpoly(_edge_gram(ends[None])[0].tolist()), v, dmax): (count, ends)}
+         for (_, v, dmax), (count, ends) in by_gram.items()]
+    )
+    return {key: (count // math.comb(n0, key[1]), ends) for key, (count, ends) in classes.items()}
 
 
 @dataclass

@@ -193,6 +193,29 @@ def batch_determinant(a: np.ndarray) -> np.ndarray:
     return a[:, -1, -1]
 
 
+def charpoly(m: list[list[int]]) -> tuple[int, ...]:
+    """Coefficients of det(xI - m), highest degree first, for a square integer matrix.
+
+    Division-free (Berkowitz, Inf. Proc. Letters 18, 1984), in Python ints:
+    with a_r = m[r][r], row R and column C of m[r] beside the leading r x r
+    block A, the characteristic polynomial of the leading (r+1) x (r+1)
+    block is the lower-triangular Toeplitz matrix with first column
+    (1, -a_r, -RC, -RAC, ..., -RA^(r-1)C) times that of A.
+    """
+    poly = [1]
+    for r in range(len(m)):
+        row, col = m[r][:r], [m[i][r] for i in range(r)]
+        toeplitz = [1, -m[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(a * b for a, b in zip(row, col)))
+            col = [sum(a * b for a, b in zip(m[i][:r], col)) for i in range(r)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return tuple(poly)
+
+
 # The spectral product accumulates ~n*eps relative error, so exact rounding
 # agreement can only be demanded while the absolute error stays below 1/2.
 _CROSSCHECK_EXACT = 2**44

@@ -13,7 +13,8 @@ Floating Kf values are clustered, and floating strict inequalities decided,
 by the enumeration module's one tie rule (``tied``, relative tolerance
 ``TIE_TOL``); ties inside tree spaces are re-adjudicated
 exactly through the integer Wiener index, which equals the Kirchhoff index
-on trees.
+on trees.  min-ordering compares exact ``Fraction`` values of the
+deleted-edge classes (``enumeration.deletion_classes``) and needs no tie rule.
 """
 
 from __future__ import annotations
@@ -635,57 +636,75 @@ def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     return report.finalize()
 
 
-def _deletion_key(n: int, subs: np.ndarray) -> np.ndarray:
-    """Max degree and touched-vertex count of each row's deleted edges, as one integer."""
-    deg = enum.batch_degrees(n, enum.batch_ends(n, subs))
-    return deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
+def _deletion_kf(n: int, p: int, q: tuple[int, ...]) -> Fraction:
+    """Exact Kf(K_n - H) = n - 1 - p + n Q'(n)/Q(n), from the characteristic
+    polynomial Q of H's p x p edge Gram matrix (``enumeration.deletion_classes``)."""
+    value = slope = 0
+    for c in q:  # Horner for Q(n) and Q'(n) together
+        slope = slope * n + value
+        value = value * n + c
+    return n - 1 - p + Fraction(n * slope, value)
 
 
 def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
     (n,) = _require_params(params, "n")
     if n < 6:
         raise ParamOutOfRangeError("min-ordering needs n >= 6 (all nine deletions defined)")
+    spaces = [enum.deleted_edges(n, p) for p in range(4)]
+    for spec in spaces:
+        enum.check_budget(spec, budget)
     report = VerificationReport("min-ordering", {"n": n})
-    # (p, deletion key) tells the nine patterns apart at p <= 3, so one member
-    # classifies its key's rows; a wrong key shows as a Kf spread.  Every key
-    # keeps the Kf of each of its rows.
+    # Every labeled K_n - H with |H| = p <= 3 lies in a class of deletion_classes(p),
+    # with exact Kf and C(n, v) q_v labeled members.  (p, dmax, v) tells the nine
+    # patterns apart at p <= 3, so one member classifies its pattern's classes;
+    # a wrong pattern shows as two Kf values in one pattern.
     per_pattern = {}
-    for p in range(4):
-        spec = enum.deleted_edges(n, p)
-        scan = enum.scan_subsets(spec, "max", math.inf, jobs, budget, classify=_deletion_key)
-        report.checked_count += scan.checked
-        for rows in scan.by_key.values():
-            ranks = np.sort(rows.ranks)
-            pattern = _PATTERN_INDEX.get(complement_shape(member(spec, int(ranks[0]))))
-            if pattern is not None:
-                per_pattern[pattern] = rows.vals
-                continue
-            for rank in ranks:
-                report.fail(
-                    graph6_encode(member(spec, int(rank))),
-                    "unclassified deletion pattern",
-                    "one of the nine named patterns",
-                )
+    for p, spec in enumerate(spaces):
+        report.checked_count += cardinality(spec)
+        weights = 0
+        shapes: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
+        for (q, v, dmax), (q_v, ends) in enum.deletion_classes(p).items():
+            weight = math.comb(n, v) * q_v
+            weights += weight
+            shapes.setdefault((dmax, v), (ends, []))[1].append((_deletion_kf(n, p, q), weight))
+        if weights != cardinality(spec):
+            report.fail("-", f"class weights sum to {weights}", f"{cardinality(spec)} graphs with {p} deletions")
+        for ends, classes in shapes.values():
+            g = complement(make_graph(n, map(tuple, ends.tolist())))
+            pattern = _PATTERN_INDEX.get(complement_shape(g))
+            if pattern is None:
+                report.fail(graph6_encode(g), "unclassified deletion pattern", "one of the nine named patterns")
+            else:
+                per_pattern[pattern] = classes
     values = {}
     for i in range(1, 10):
-        vals = per_pattern[i]
-        spread = float(vals.max() - vals.min())
-        if not tied(vals.max(), vals.min()):
-            report.fail("-", f"g{i} Kf spread {spread:.2e}", "identical across labelings")
-        values[i] = float(vals.min())
+        kfs = [kf for kf, _ in per_pattern[i]]
+        values[i] = min(kfs)
+        if max(kfs) != values[i]:
+            report.fail("-", f"g{i} Kf spread {float(max(kfs) - values[i]):.2e}", "identical across labelings")
         form = closed_form_kf(FamilySpec("gi", (n, i)))
-        if form is not None and not _reproduces(values[i], form):
-            report.fail("-", f"g{i} Kf {format_real(values[i])}", f"closed form {format_exact(form)}")
-        g = build(FamilySpec("gi", (n, i)))
+        if form is not None and values[i] != form:
+            report.fail("-", f"g{i} Kf {format_exact(values[i])}", f"closed form {format_exact(form)}")
+        g = build(FamilySpec("gi", (n, i)))  # g9 after the loop
         report.extremal_witnesses.append(
-            Witness(i, graph6_encode(g), values[i], int(vals.size))
+            Witness(i, graph6_encode(g), float(values[i]), sum(w for _, w in per_pattern[i]))
         )
     for i in range(1, 9):
-        if not (values[i + 1] > values[i] and not tied(values[i + 1], values[i])):
+        if not values[i + 1] > values[i]:
             report.fail(
                 "-",
-                f"Kf(g{i + 1})={format_real(values[i + 1])} vs Kf(g{i})={format_real(values[i])}",
+                f"Kf(g{i + 1})={format_exact(values[i + 1])} vs Kf(g{i})={format_exact(values[i])}",
                 f"Kf(g{i + 1}) > Kf(g{i}) strictly",
+            )
+    if n >= 8:
+        # Adding an edge never raises Kf (Rayleigh), so a connected graph with four or
+        # more deletions has Kf at least the p = 4 lower bound: below it, g9 is ninth.
+        floor = bound_eval(n, 4).lower_kf
+        if not values[9] < floor:
+            report.fail(
+                graph6_encode(g),
+                f"Kf(g9)={format_exact(values[9])}",
+                f"< {format_exact(floor)}, the lower bound at four deletions",
             )
     report.notes.append(
         "every graph within three deletions realizes one of the nine named patterns"

@@ -56,7 +56,7 @@ class TestCompute:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify", "--theorem", "min-ordering", "--n", "6", "--jobs", "1"),  # inline scan
+            ("verify", "--theorem", "upper-bound", "--n", "6", "--p", "2", "--jobs", "1"),  # inline scan
             ("verify", "--theorem", "upper-bound", "--n", "8", "--p", "4", "--jobs", "2"),  # fork pool
         ],
         ids=["inline", "fork-pool"],

@@ -11,7 +11,6 @@ import kirchhoff.enumeration as enum
 import kirchhoff.verify as verify
 from kirchhoff.enumeration import (
     BudgetExceededError,
-    batch_adjacency,
     batch_connected,
     batch_cycle_length,
     batch_degrees,
@@ -28,6 +27,7 @@ from kirchhoff.enumeration import (
     connected_rows,
     connected_with_edges,
     deleted_edges,
+    deletion_classes,
     enumerate_space,
     gram_classes,
     labeled_trees,
@@ -43,7 +43,29 @@ from kirchhoff.enumeration import (
 )
 from kirchhoff.families import GI_PATTERNS, FamilySpec, build, closed_form_kf
 from kirchhoff.graphs import is_connected, make_graph
-from kirchhoff.spectral import batch_determinant, kf_resistance, kf_spectral, wiener
+from kirchhoff.spectral import batch_determinant, charpoly, kf_resistance, kf_spectral, wiener
+
+
+def batch_adjacency(n, subsets, dtype):
+    """(B, n, n) adjacency matrices of the graphs whose edges the subset rows select."""
+    ends = batch_ends(n, subsets)
+    A = np.zeros((subsets.shape[0], n, n), dtype=dtype)
+    rows = np.arange(subsets.shape[0])[:, None]
+    A[rows, ends[..., 0], ends[..., 1]] = 1
+    A[rows, ends[..., 1], ends[..., 0]] = 1
+    return A
+
+
+def adjacency_cycle_length(n, subsets):
+    """The leaf stripping batch_cycle_length replaced, on a (B, n, n) bool adjacency stack."""
+    A = batch_adjacency(n, subsets, bool)
+    for _ in range(n):
+        leaves = A.sum(axis=2) == 1
+        if not leaves.any():
+            break
+        keep = ~leaves
+        A &= keep[:, :, None] & keep[:, None, :]
+    return (A.sum(axis=2) > 0).sum(axis=1)
 
 
 def block_extent(rank0, rows):
@@ -659,3 +681,60 @@ class TestGramClasses:
         assert idx.tolist() == list(range(5)) and (np.abs(kf - exact) <= 1e-12 * exact).all()
         assert t.tolist() == _per_row_counts(n, subs).tolist()
         assert dmax.tolist() == [10, 1, 2, 10, 2]
+
+
+class TestCycleLength:
+    """Leaf stripping on (B, n) degree counts against the (B, n, n) adjacency stack."""
+
+    @pytest.mark.parametrize("m", range(16))
+    def test_every_row_at_six_vertices(self, m):
+        subs = _all_subsets(6, m)
+        assert batch_cycle_length(6, subs).tolist() == adjacency_cycle_length(6, subs).tolist()
+
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    def test_sampled_blocks_at_eight_vertices(self, m):
+        spec = connected_with_edges(8, m)
+        total, block = cardinality(spec), block_rows(8)
+        for rank0 in (0, block * (total // block // 2), block * (total // block)):
+            (_, subs), = subset_blocks(28, m, rank0, rank0 + block, block)
+            subs = subs[connected_rows(8, subs, False)]
+            assert batch_cycle_length(8, subs).tolist() == adjacency_cycle_length(8, subs).tolist()
+
+    def test_empty_block(self):
+        assert batch_cycle_length(7, np.zeros((0, 7), dtype=np.int64)).tolist() == []
+
+
+class TestDeletionClasses:
+    """Every p-edge set by (characteristic polynomial of N N^T, touched vertices,
+    max degree), from one scan at 2p vertices."""
+
+    @pytest.mark.parametrize("p", range(5))
+    def test_weights_count_every_labeled_deletion(self, p):
+        classes = deletion_classes(p)
+        for n in range(max(6, 2 * p), 63):
+            weights = sum(math.comb(n, v) * q_v for (_, v, _), (q_v, _) in classes.items())
+            assert weights == math.comb(n * (n - 1) // 2, p)
+
+    def test_class_counts_are_the_a000664_counts(self):
+        # p-edge graphs without isolated vertices, up to isomorphism: 1, 1, 2, 5, 11
+        assert [len(deletion_classes(p)) for p in range(5)] == [1, 1, 2, 5, 11]
+
+    @pytest.mark.parametrize("n,p", [(6, 3), (7, 3), (8, 4)])
+    def test_every_row_has_its_class(self, n, p):
+        # each labeled row's (Q, v, dmax) is a class, and each class holds C(n, v) q_v rows
+        classes = deletion_classes(p)
+        ends = batch_ends(n, _all_subsets(n, p))
+        deg = batch_degrees(n, ends)
+        grams = [tuple(map(tuple, gram)) for gram in enum._edge_gram(ends).tolist()]
+        rows = Counter(zip(grams, (deg > 0).sum(axis=1).tolist(), deg.max(axis=1).tolist()))
+        seen = Counter()
+        for (gram, v, dmax), count in rows.items():
+            seen[charpoly(gram), v, dmax] += count
+        assert seen == {key: math.comb(n, key[1]) * q_v for key, (q_v, _) in classes.items()}
+
+    def test_representatives_touch_their_vertices(self):
+        for p in range(5):
+            for (q, v, dmax), (_, ends) in deletion_classes(p).items():
+                degrees = Counter(ends.ravel().tolist())
+                assert ends.shape == (p, 2) and len(degrees) == v and max(degrees.values(), default=0) == dmax
+                assert len(q) == p + 1 and q[0] == 1

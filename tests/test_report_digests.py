@@ -49,3 +49,15 @@ def test_report_body_digest(verdict, jobs, capsys):
     report = capsys.readouterr().out
     assert code == EXPECTED[verdict]["exit"]
     assert body_digest(report) == EXPECTED[verdict]["sha256"]
+
+
+def test_min_ordering_needs_no_eigensolver(capsys, monkeypatch):
+    import numpy as np
+
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    verdict = "verify --theorem min-ordering --n 13"
+    assert main(verdict.split()) == 0
+    assert body_digest(capsys.readouterr().out) == EXPECTED[verdict]["sha256"]

@@ -33,6 +33,7 @@ from kirchhoff.spectral import (
     DisconnectedGraphError,
     NoEdgesError,
     batch_determinant,
+    charpoly,
     check_tree_counts,
     kf_resistance,
     kf_spectral,
@@ -423,3 +424,46 @@ class TestBatchConnectivity:
         counts = batch_tree_counts(n, ends, deg, deleted, batch_eigenvalues(n, ends, deleted, classes), classes)
         assert [int(t) for t in counts] == [tree_count(g) for g in graphs]
         assert [bool(t) for t in counts] == [is_connected(g) for g in graphs]
+
+
+def _fraction_det(m):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+class TestCharpoly:
+    """det(xI - M) by Berkowitz, in Python ints, against exact elimination."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda s: st.lists(st.lists(st.integers(-9, 9), min_size=s, max_size=s), min_size=s, max_size=s)
+        )
+    )
+    @example([])
+    @example([[0]])
+    @example([[2, 1, 0], [1, 2, -1], [0, -1, 2]])  # the Gram matrix of a 3-edge path
+    def test_matches_exact_determinants(self, m):
+        q = charpoly(m)
+        assert len(q) == len(m) + 1 and q[0] == 1
+        for x in (-3, 0, 1, 2, 7, 13):
+            shifted = [[x * (i == j) - m[i][j] for j in range(len(m))] for i in range(len(m))]
+            assert sum(c * x ** (len(m) - k) for k, c in enumerate(q)) == _fraction_det(shifted)
+
+    def test_coefficients_are_python_ints(self):
+        # 2^62 entries overflow any int64 product: the coefficients stay exact
+        big = 1 << 62
+        assert charpoly([[big, big], [big, big]]) == (1, -2 * big, 0)

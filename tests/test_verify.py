@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,22 +10,27 @@ import pytest
 
 import kirchhoff.verify as verify
 from kirchhoff.enumeration import (
-    batch_adjacency,
+    BudgetExceededError,
     batch_degrees,
     batch_ends,
     block_rows,
     cardinality,
     complete_edge_table,
     deleted_edges,
+    deletion_classes,
     labeled_trees,
+    member,
     row_graph,
+    scan_subsets,
     subset_blocks,
+    tied,
 )
 from kirchhoff.families import FamilySpec, build, edge_shape
 from kirchhoff.graphs import is_connected, make_graph
 from kirchhoff.spectral import DisconnectedGraphError, kf_spectral, tree_count
 from kirchhoff.verify import (
     ComplementShape,
+    Counterexample,
     MalformedInputError,
     ParamOutOfRangeError,
     automorphism_count,
@@ -33,6 +40,8 @@ from kirchhoff.verify import (
     count_labeled_matchings,
     count_labeled_stars,
     extremal_search,
+    format_exact,
+    graph6_encode,
     is_isomorphic,
     labeled_copy_count,
     random_connected_graph,
@@ -43,6 +52,12 @@ from kirchhoff.verify import (
 
 def fam(kind, *args):
     return build(FamilySpec(kind, args))
+
+
+def _deletion_key(n, subs):
+    """Max degree and touched-vertex count of each row's deleted edges, as one integer."""
+    deg = batch_degrees(n, batch_ends(n, subs))
+    return deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
 
 
 class TestComplementShape:
@@ -62,9 +77,11 @@ class TestComplementShape:
         stars = [edge_shape([table[i] for i in row]) == ComplementShape("star", p) for row in subs.tolist()]
         assert (batch_degrees(n, batch_ends(n, subs)).max(axis=1) == p).tolist() == stars
         assert sum(stars) == count_labeled_stars(n, p)
-        deg = batch_adjacency(n, subs, bool).sum(axis=2)
-        key = deg.max(axis=1) * (n + 1) + (deg > 0).sum(axis=1)
-        assert (verify._deletion_key(n, subs) == key).all()
+        key = []
+        for row in subs.tolist():
+            deg = Counter(v for i in row for v in table[i])
+            key.append(max(deg.values()) * (n + 1) + len(deg))
+        assert _deletion_key(n, subs).tolist() == key
 
 
 class TestBoundEval:
@@ -396,3 +413,79 @@ class TestVerifyTheorem:
             if ce.observed == "Kf(C3(1,n-4))=0" and ce.expected.startswith("strictly below")
         ]
         assert len(below) == 1
+
+
+class TestMinOrderingClasses:
+    """min-ordering from exact deleted-edge classes, against the labeled keyed scan
+    it replaced: every row of K_n minus at most three edges, keyed by (max deleted
+    degree, touched vertices)."""
+
+    @pytest.mark.parametrize("n", range(6, 14))
+    def test_classes_match_the_labeled_keyed_scan(self, n):
+        table = set(complete_edge_table(n))
+        for p in range(4):
+            spec = deleted_edges(n, p)
+            labeled = scan_subsets(spec, "max", cardinality(spec), classify=_deletion_key).by_key
+            by_key = {}
+            for (q, v, dmax), (q_v, ends) in deletion_classes(p).items():
+                g = make_graph(n, table - set(map(tuple, ends.tolist())))
+                shape, count, kfs = by_key.setdefault(dmax * (n + 1) + v, (complement_shape(g), [0], []))
+                count[0] += math.comb(n, v) * q_v
+                kfs.append(verify._deletion_kf(n, p, q))
+            assert sorted(by_key) == sorted(labeled)
+            for key, (shape, (count,), kfs) in by_key.items():
+                rows = labeled[key]
+                assert complement_shape(member(spec, int(rows.ranks.min()))) == shape
+                assert rows.ranks.size == count
+                assert all(tied(float(kf), rows.vals).all() for kf in kfs)
+
+    def test_refused_over_budget_before_any_work(self, monkeypatch):
+        def fail(p):
+            raise AssertionError("classes built")
+
+        monkeypatch.setattr(verify.enum, "deletion_classes", fail)
+        with pytest.raises(BudgetExceededError) as refusal:
+            verify_theorem("min-ordering", {"n": 42})  # C(861, 3) > 10^8
+        assert refusal.value.cardinality == math.comb(861, 3)
+        with pytest.raises(BudgetExceededError) as refusal:
+            verify_theorem("min-ordering", {"n": 13}, budget=1000)
+        assert refusal.value.cardinality == math.comb(78, 2)
+
+    def test_g9_at_or_above_the_four_deletion_bound_fails(self, monkeypatch):
+        real = verify.bound_eval
+
+        def lowered(n, p, g=None):
+            record = real(n, p, g)
+            return replace(record, lower_kf=Fraction(n - 1)) if p == 4 else record
+
+        monkeypatch.setattr(verify, "bound_eval", lowered)
+        rep = verify_theorem("min-ordering", {"n": 13})
+        g9 = fam("gi", 13, 9)
+        kf = verify._deletion_kf(13, 3, (1, -6, 9, -4))  # the 3-star's Gram polynomial
+        assert abs(float(kf) - kf_spectral(g9)) <= 1e-9 * kf
+        assert rep.status == "FAIL"
+        assert rep.counterexamples == [
+            Counterexample(graph6_encode(g9), f"Kf(g9)={format_exact(kf)}", "< 12, the lower bound at four deletions")
+        ]
+
+    def test_class_weights_that_miss_the_labeled_count_fail(self, monkeypatch):
+        real = verify.enum.deletion_classes
+
+        def doubled(p):
+            classes = real(p)
+            return {key: (2 * q_v, ends) for key, (q_v, ends) in classes.items()} if p == 2 else classes
+
+        monkeypatch.setattr(verify.enum, "deletion_classes", doubled)
+        rep = verify_theorem("min-ordering", {"n": 13})
+        assert rep.status == "FAIL" and rep.checked_count == 79158
+        assert rep.counterexamples == [
+            Counterexample("-", f"class weights sum to {2 * math.comb(78, 2)}", f"{math.comb(78, 2)} graphs with 2 deletions")
+        ]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_no_four_deletion_bound_below_eight_vertices(self, n, monkeypatch):
+        def fail(*args):
+            raise AssertionError("bound evaluated")
+
+        monkeypatch.setattr(verify, "bound_eval", fail)
+        assert verify_theorem("min-ordering", {"n": n}).status == "PASS"
