@@ -12,12 +12,17 @@ An :class:`EnumerationSpec` is the only description of a space: the budget
 check, the scan's block walk and the member at a rank (:func:`member`) all
 derive from it.  Cardinalities are checked against a budget up front, so
 large requests refuse gracefully.  Each space has one unranker, used by
-both the scan's blocks and :func:`member` (:func:`unrank_rows` for subsets,
-:func:`prufer_rows` for trees), and one map (:func:`row_graph`) turns a row
-into its graph.  One smallest-leaf decoder (:func:`prufer_steps`) serves
-both :func:`prufer_decode` and the Wiener kernel (:func:`wiener_block`):
-each leaf is the lowest zero bit of int64 vertex bitmasks, and the kernel
-packs a row's subtree sizes into 4-bit lanes of one int64.  Every space is
+:func:`member` and streaming (:func:`unrank_rows` for subsets, also in the
+subset scan's blocks; :func:`prufer_rows` for trees), and one map
+(:func:`row_graph`) turns a row into its graph.  One smallest-leaf decoder
+(:func:`prufer_steps`) serves both :func:`prufer_decode` and the Wiener
+kernel (:func:`wiener_block`): each leaf is the lowest zero bit of int64
+vertex bitmasks, and the kernel packs a tree's subtree sizes into 4-bit
+lanes of one int64.  The kernel takes a range of ranks, not digit rows:
+the first n-2-L decoding steps depend only on a rank's prefix and the set
+of its last L digits (:func:`tail_length`), so they run once per such
+class, and the last L+1 steps run per rank from tables that repeat with
+period n^L.  Every space is
 walked in blocks of up to 2^14 rows (:func:`block_rows`); the subset Kf
 kernel solves only a block's connected rows (:func:`connected_rows`).  A
 ``connected-with-edges`` row's Kf comes from the inverse of its reduced
@@ -128,7 +133,8 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     for x in seq:
         if not 0 <= x < n:
             raise ValueError(f"sequence entry {x} outside [0,{n})")
-    steps = prufer_steps(n, np.array(seq, dtype=np.int64).reshape(1, n - 2))
+    digits = np.array(seq, dtype=np.int64).reshape(n - 2, 1)
+    steps = prufer_steps(suffix_masks(digits), [*digits, [n - 1]], np.zeros(1, dtype=np.int64))
     return make_graph(n, [(int(leaf[0]), int(parent[0])) for leaf, parent in steps])
 
 
@@ -161,6 +167,8 @@ def enumerate_space(
     """Stream every member of the space exactly once, in rank order (labeled
     objects; ``connected-with-edges`` streams only its connected members)."""
     for _, rows in _blocks(spec, 0, check_budget(spec, budget)):
+        if spec.mode == "labeled-trees":
+            rows = prufer_rows(spec.n, rows)
         for row in rows.tolist():
             g = row_graph(spec, row)
             if spec.mode != "connected-with-edges" or is_connected(g):
@@ -207,41 +215,51 @@ def subset_blocks(
         yield rank, unrank_rows(m, k, np.arange(rank, min(rank + block, stop), dtype=np.int64))
 
 
+def _digits(n: int, length: int, ranks) -> np.ndarray:
+    """(length, B) base-n digits of each rank, most significant first; one divmod
+    per digit fills a digit-major array, so each digit row is contiguous."""
+    quotient = np.array(ranks, dtype=np.int64)
+    digits = np.empty((length, quotient.size), dtype=np.int64)
+    for k in range(length - 1, -1, -1):
+        np.divmod(quotient, n, out=(quotient, digits[k]))
+    return digits
+
+
 def prufer_rows(n: int, ranks) -> np.ndarray:
     """(B, n-2) digit array: the rank-th length-(n-2) sequence over range(n),
-    most significant digit first, for each rank in [0, n^(n-2)); one divmod
-    per digit fills a digit-major array, so each digit column is contiguous."""
+    most significant digit first, for each rank in [0, n^(n-2))."""
     if n ** (n - 2) > np.iinfo(np.int64).max:
         raise ValueError(f"{n}^{n - 2} sequences do not fit int64 ranks")
-    quotient = np.array(ranks, dtype=np.int64)
-    digits = np.empty((n - 2, quotient.size), dtype=np.int64)
-    for k in range(n - 3, -1, -1):
-        np.divmod(quotient, n, out=(quotient, digits[k]))
-    return digits.T
+    return _digits(n, n - 2, ranks).T
 
 
-def prufer_steps(n: int, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(leaf, parent) arrays for each of the n-1 edges the smallest-leaf rule
-    decodes from (B, n-2) Prüfer rows, in decoding order.
+def suffix_masks(digits: np.ndarray) -> np.ndarray:
+    """(k+1, B) int64 from (k, B) digit-major rows: row j is the bitmask of the
+    digits ``digits[j:]``, and row k is 0."""
+    masks = np.zeros((digits.shape[0] + 1, digits.shape[1]), dtype=np.int64)
+    np.left_shift(1, digits, out=masks[:-1])
+    for k in range(digits.shape[0] - 1, -1, -1):
+        masks[k] |= masks[k + 1]
+    return masks
 
-    Leaf k is the smallest vertex neither pruned nor among the digits
-    ``rows[k:]``: the lowest zero bit of the union t of two int64 bitmasks
-    per row, isolated as ``~t & (t + 1)`` and indexed by its float exponent
-    (exact for n <= 62).  Step k joins it to digit k; the last joins the one
-    vertex left to n-1, which the rule never prunes.
+
+def prufer_steps(suffix, parents, pruned: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(leaf, parent) for each step of the smallest-leaf rule, in decoding order.
+
+    Leaf k is the smallest vertex neither in ``pruned`` nor among the digits
+    still to come, whose bitmask is ``suffix[k]`` (:func:`suffix_masks`): the
+    lowest zero bit of their union t, isolated as ``~t & (t + 1)`` and indexed
+    by its float exponent (exact for n <= 62).  ``pruned`` starts as the
+    vertices pruned before the first step and takes each leaf in place;
+    ``parents[k]`` passes through.  A whole row's steps join each leaf to its
+    digit, and the last joins the one vertex left to n-1, which the rule never
+    prunes.
     """
-    B = rows.shape[0]
-    suffix = np.zeros((n - 1, B), dtype=np.int64)
-    np.left_shift(1, rows.T, out=suffix[:-1])
-    for k in range(n - 3, -1, -1):
-        suffix[k] |= suffix[k + 1]
-    parents = [*rows.T, np.broadcast_to(np.int64(n - 1), B)]
-    pruned = np.zeros(B, dtype=np.int64)
     for t, parent in zip(suffix, parents):
-        t |= pruned
+        t = t | pruned
         low = ~t & (t + 1)
         pruned |= low
-        yield np.frexp(low)[1] - 1, parent
+        yield (low.astype(float).view(np.int64) >> 52) - 1023, parent
 
 
 @lru_cache(maxsize=None)
@@ -459,8 +477,49 @@ def batch_cycle_length(n: int, subsets: np.ndarray) -> np.ndarray:
     return (deg > 0).sum(axis=1)
 
 
-def wiener_block(n: int, rows: np.ndarray) -> np.ndarray:
-    """Exact Wiener index of the labeled tree behind each (B, n-2) Prüfer row.
+def tail_length(n: int) -> int:
+    """L, the Prüfer digits a tree block decodes row by row: the largest L <= n-2
+    with n^L <= block_rows(n).  The other n-2-L digits, the prefix, are constant
+    over each run of n^L consecutive ranks."""
+    return max(L for L in range(n - 1) if n**L <= block_rows(n))
+
+
+@lru_cache(maxsize=None)
+def _tail_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(suffix masks, lane shifts, class, tail sets): what the last L+1 decoding
+    steps of a rank read, in columns that repeat with period n^L.
+
+    Column c holds the rank whose last L digits (:func:`tail_length`) are the
+    number ``c mod n^L``, in the ``c // n^L``-th prefix run of a range: its
+    (L+1,) suffix masks and lane shifts (4 x parent; the last parent is n-1),
+    and its class, run x |tail sets| + its own set's index among the distinct
+    sets.  A range of at most block_rows(n) ranks from rank r reads the
+    columns from ``r mod n^L`` on.
+    """
+    L = tail_length(n)
+    period = n**L
+    cols = np.arange(min(period + block_rows(n) - 1, n ** (n - 2)))
+    digits = _digits(n, L, cols % period)
+    suffix = suffix_masks(digits)
+    tail_sets, tail_class = np.unique(suffix[0, :period], return_inverse=True)
+    shifts = np.vstack([4 * digits, np.full((1, cols.size), 4 * (n - 1))])
+    tables = suffix, shifts, cols // period * tail_sets.size + tail_class[cols % period], tail_sets
+    for table in tables:  # shared by every call at n
+        table.flags.writeable = False
+    return tables
+
+
+def _add_wiener_steps(n: int, steps, lanes: np.ndarray, W: np.ndarray) -> None:
+    """Add each step's pruned side s, s(n-s) to W and s to its parent's lane, in place."""
+    for leaf, shift in steps:
+        s = (lanes >> 4 * leaf & 15) + 1
+        W += s * (n - s)
+        lanes += s << shift
+
+
+def wiener_block(n: int, start: int, stop: int) -> np.ndarray:
+    """Exact Wiener index of the labeled tree at each rank in [start, stop), a
+    range of at most block_rows(n) ranks.
 
     Each decoding step prunes a leaf whose side of the tree has s vertices,
     and s(n-s) vertex pairs cross that edge; their sum over the steps
@@ -468,16 +527,32 @@ def wiener_block(n: int, rows: np.ndarray) -> np.ndarray:
     one int64, lane v holding size(v) - 1 <= n-2 <= 15 for v < n-1 (n <= 17,
     as in :func:`prufer_rows`): a gather is a shift and a mask, a scatter a
     shifted add.  Lane n-1 is never read; at n = 17 numpy shifts it out.
+
+    Step k < n-2-L (:func:`tail_length`) depends only on the prefix digits and
+    the set of the L tail digits, so those steps run once per (prefix, tail
+    set) class of the range, and each row starts from its class's pruned
+    vertices, lanes and partial W.  The last L+1 steps run per row, from
+    slices of the period tables (:func:`_tail_tables`).
     """
     if n > 17:
         raise ValueError(f"4-bit size lanes hold trees on at most 17 vertices, got n={n}")
-    B = rows.shape[0]
-    lanes = np.zeros(B, dtype=np.int64)
-    W = np.zeros(B, dtype=np.int64)
-    for leaf, parent in prufer_steps(n, rows):
-        s = (lanes >> 4 * leaf & 15) + 1
-        W += s * (n - s)
-        lanes += s << 4 * parent
+    total, block = n ** (n - 2), block_rows(n)
+    if not (0 <= start <= stop <= total and stop - start <= block):
+        raise ValueError(f"[{start}, {stop}) is not a range of at most {block} ranks in [0, {total})")
+    suffix, shifts, classes, tail_sets = _tail_tables(n)
+    L = tail_length(n)
+    period = n**L
+    cols = slice(start % period, start % period + stop - start)
+    runs = -(-cols.stop // period)
+    prefixes = _digits(n, n - 2 - L, np.arange(start // period, start // period + runs))
+    shape = (prefixes.shape[0], runs * tail_sets.size)
+    class_suffix = (suffix_masks(prefixes)[:-1, :, None] | tail_sets).reshape(shape)
+    class_shifts = np.repeat(4 * prefixes, tail_sets.size, axis=1)
+    pruned, lanes, W = np.zeros((3, shape[1]), dtype=np.int64)
+    _add_wiener_steps(n, prufer_steps(class_suffix, class_shifts, pruned), lanes, W)
+    row_class = classes[cols]
+    pruned, lanes, W = pruned[row_class], lanes[row_class], W[row_class]
+    _add_wiener_steps(n, prufer_steps(suffix[:, cols], shifts[:, cols], pruned), lanes, W)
     return W
 
 
@@ -543,18 +618,17 @@ def block_rows(n: int) -> int:
     return rows
 
 
-def _blocks(spec: EnumerationSpec, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first rank, rows) for each block of the ranks [start, stop) of ``spec``."""
+def _blocks(spec: EnumerationSpec, start: int, stop: int) -> Iterator[tuple[int, np.ndarray | range]]:
+    """(first rank, rows) for each block of the ranks [start, stop) of ``spec``:
+    (B, k) subset index rows, or the block's range of ranks in a tree space."""
     n, block = spec.n, block_rows(spec.n)
     if spec.mode == "labeled-trees":
-        ranks = range(start, stop, block)
-        return ((r, prufer_rows(n, np.arange(r, min(r + block, stop)))) for r in ranks)
+        return ((r, range(r, min(r + block, stop))) for r in range(start, stop, block))
     return subset_blocks(n * (n - 1) // 2, spec.count, start, stop, block)
 
 
 def _scan_worker(task) -> list:
-    """``kernel(first rank, rows)`` for each block of one contiguous rank range:
-    (B, k) subset index rows, or (B, n-2) Prüfer digit rows in a tree space."""
+    """``kernel(first rank, rows)`` for each block of one contiguous rank range (see _blocks)."""
     spec, kernel, start, stop = task
     return [kernel(rank0, rows) for rank0, rows in _blocks(spec, start, stop)]
 
@@ -712,11 +786,12 @@ class TreeScan:
     first_rank: dict[int, int]
 
 
-def _wiener_kernel(n, rank0, rows) -> TreeScan:
-    W = wiener_block(n, rows)
+def _wiener_kernel(n, rank0, ranks) -> TreeScan:
+    W = wiener_block(n, ranks.start, ranks.stop)
     hist = np.bincount(W, minlength=n**3 // 6 + 2)
-    first_rank = {int(w): rank0 + int(np.argmax(W == w)) for w in np.flatnonzero(hist)}
-    return TreeScan(rows.shape[0], hist, first_rank)
+    values = np.flatnonzero(hist)
+    first = rank0 + (W == values[:, None]).argmax(axis=1)
+    return TreeScan(W.size, hist, dict(zip(values.tolist(), first.tolist())))
 
 
 def _merge_histograms(parts: list[TreeScan]) -> TreeScan:

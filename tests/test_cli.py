@@ -156,6 +156,22 @@ class TestSearchCommand:
         assert first.split(",")[2] == "84"  # the 8-vertex path
         assert second.split(",")[2] == "79"
 
+    @pytest.mark.parametrize(
+        "objective,top,expected",
+        [
+            ("--max", "8", [
+                "1,HhCGK?A,120,181440", "2,HhCKC?C,114,181440", "3,HpCKA?C,110,362880",
+                "4,HhEC?OG,108,408240", "5,HhECC?G,104,423360", "6,HhECA?G,102,544320",
+                "7,HpEA?_G,100,181440", "8,HhaC?_O,98,665280",
+            ]),
+            ("--min", "3", ["1,HsaCCA?,64,9", "2,HsaCC@?,70,504", "3,HsaCA@?,74,1512"]),
+        ],
+    )
+    def test_trees_9_output_pinned(self, capsys, objective, top, expected):
+        # recorded from the row-by-row decoder: each value's lowest-rank tree and its count
+        code, out, _ = run(capsys, "search", "--trees", "9", objective, "--top", top)
+        assert code == 0 and out.splitlines() == ["rank,graph6,kf,count", *expected]
+
     def test_budget_refusal(self, capsys):
         code, _, err = run(capsys, "search", "--trees", "12", "--max")
         assert code == 2 and "budget" in err

@@ -39,6 +39,8 @@ from kirchhoff.enumeration import (
     scan_labeled_trees,
     scan_subsets,
     subset_blocks,
+    suffix_masks,
+    tail_length,
     wiener_block,
 )
 from kirchhoff.families import GI_PATTERNS, FamilySpec, build, closed_form_kf
@@ -70,7 +72,16 @@ def adjacency_cycle_length(n, subsets):
 
 def block_extent(rank0, rows):
     """A scan kernel that records the block it was given: (first rank, rows)."""
-    return rank0, rows.shape[0]
+    return rank0, len(rows)
+
+
+# Wiener index -> (labeled trees on 9 vertices, lowest rank), from the row-by-row decoder
+N9_WIENER = {
+    64: (9, 0), 70: (504, 1), 74: (1512, 10), 76: (10080, 83), 80: (33264, 11), 82: (75600, 92),
+    84: (22680, 7310), 86: (189000, 101), 88: (231840, 903), 90: (136080, 7311), 92: (529200, 102),
+    94: (241920, 912), 96: (362880, 7482), 98: (665280, 921), 100: (181440, 60781), 102: (544320, 7483),
+    104: (423360, 922), 108: (408240, 8302), 110: (362880, 60791), 114: (181440, 8303), 120: (181440, 74733),
+}
 
 
 class TestCardinalityAndBudget:
@@ -113,6 +124,16 @@ class TestCardinalityAndBudget:
     def test_block_rows_from_n(self):
         assert [block_rows(n) for n in range(2, 14)] == [1 << 14] * 12
         assert block_rows(14) == 1 << 13
+
+    def test_tail_length_from_n(self):
+        # the largest L <= n-2 with n^L <= block_rows(n): the prefix is empty up to n = 6
+        tails = {n: tail_length(n) for n in range(2, 18)}
+        assert tails == {
+            2: 0, 3: 1, 4: 2, 5: 3, 6: 4, **dict.fromkeys(range(7, 12), 4), **dict.fromkeys(range(12, 18), 3)
+        }
+        assert [n**L for n, L in tails.items()] == [
+            1, 3, 16, 125, 1296, 2401, 4096, 6561, 10000, 14641, 1728, 2197, 2744, 3375, 4096, 4913
+        ]
 
     def test_budget_boundary_allows_equality(self):
         spec = deleted_edges(5, 2)
@@ -199,6 +220,13 @@ class TestMember:
         members = [member(spec, r) for r in range(cardinality(spec))]
         assert [g for g in members if is_connected(g)] == list(enumerate_space(spec))
 
+    def test_tree_members_across_a_block_boundary(self):
+        # 7^5 = 16,807 trees: one block of 2^14 and a short one of 423
+        spec, start, stop = labeled_trees(7), block_rows(7) - 5, block_rows(7) + 5
+        expected = [scalar_prufer_decode(seq, 7) for seq in islice(product(range(7), repeat=5), start, stop)]
+        assert list(islice(enumerate_space(spec), start, stop)) == expected
+        assert [member(spec, rank) for rank in range(start, stop)] == expected
+
     def test_tree_ranks_are_int64(self):
         # 17^15 < 2^63 - 1 < 18^16; the last sequence, all 16s, is the star at 16
         last = cardinality(labeled_trees(17)) - 1
@@ -224,6 +252,15 @@ def scalar_prufer_decode(seq, n):
     return make_graph(n, edges)
 
 
+def tree_ranges(n):
+    """(n, first rank, length) draws: anywhere in the space, or within 64 ranks
+    of the start of a run of n^L ranks that share a prefix."""
+    total, period = n ** (n - 2), n ** tail_length(n)
+    near_run = st.tuples(st.integers(0, total // period), st.integers(-64, 64)).map(lambda t: t[0] * period + t[1])
+    start = st.one_of(st.integers(0, total - 1), near_run).map(lambda r: min(max(r, 0), total - 1))
+    return st.tuples(st.just(n), start, st.integers(1, 64))
+
+
 class TestPrufer:
     def test_decode_star_and_path(self):
         assert prufer_decode((0, 0), 4).edges == ((0, 1), (0, 2), (0, 3))
@@ -238,11 +275,14 @@ class TestPrufer:
     def check_decoders(self, n, seqs):
         trees = [scalar_prufer_decode(seq, n) for seq in seqs]
         assert [prufer_decode(seq, n) for seq in seqs] == trees
-        rows = np.array(seqs, dtype=np.int64).reshape(len(seqs), n - 2)
-        *_, (_, last_parent) = prufer_steps(n, rows)
-        assert (last_parent == n - 1).all()
+        digits = np.array(seqs, dtype=np.int64).reshape(len(seqs), n - 2).T
+        last = np.full(len(seqs), n - 1)
+        steps = list(prufer_steps(suffix_masks(digits), [*digits, last], np.zeros(len(seqs), dtype=np.int64)))
+        batch = [make_graph(n, [(int(leaf[i]), int(parent[i])) for leaf, parent in steps]) for i in range(len(seqs))]
+        assert batch == trees
         if n <= 17:
-            assert wiener_block(n, rows).tolist() == [wiener(t) for t in trees]
+            ranks = [sum(x * n ** (n - 3 - k) for k, x in enumerate(seq)) for seq in seqs]
+            assert [int(wiener_block(n, r, r + 1)[0]) for r in ranks] == [wiener(t) for t in trees]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_decoders_match_scalar_loop_on_every_sequence(self, n):
@@ -257,8 +297,7 @@ class TestPrufer:
             )
         )
     )
-    # size lanes at their widest: the path into 16 (a 16-vertex side) and both stars
-    @example((17, [tuple(range(1, 16)), (0,) * 15, (16,) * 15]))
+    @example((17, [tuple(range(1, 16)), (0,) * 15, (16,) * 15]))  # the widest size lanes, by their sequences
     def test_decoders_match_scalar_loop(self, case):
         n, seqs = case
         self.check_decoders(n, [tuple(seq) for seq in seqs])
@@ -276,9 +315,42 @@ class TestPrufer:
         n, seq = case
         self.check_decoders(n, [tuple(seq)])
 
+    @staticmethod
+    def decoded_wiener(n, start, stop):
+        """The Wiener index of each tree at the ranks [start, stop), decoded one at a time."""
+        return [wiener(prufer_decode(row, n)) for row in prufer_rows(n, np.arange(start, stop)).tolist()]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_wiener_ranges_on_every_tree(self, n):
+        # cut at the scan's blocks (at n = 7, 2^14 ranks and a short 423) and at each
+        # run of n^L ranks that share a prefix, which the blocks cross
+        total, period = n ** (n - 2), n ** tail_length(n)
+        expected = self.decoded_wiener(n, 0, total)
+        for step in (block_rows(n), period):
+            got = [wiener_block(n, r, min(r + step, total)) for r in range(0, total, step)]
+            assert np.concatenate(got).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 17).flatmap(tree_ranges))
+    # size lanes at their widest: the star at 0, the path into 16 (a 16-vertex side), the star at 16
+    @example((17, 0, 1))
+    @example((17, sum(v * 17 ** (15 - v) for v in range(1, 16)), 1))
+    @example((17, 17**15 - 1, 1))
+    @example((9, 5 * 9**4 - 10, 20))  # across a prefix boundary
+    @example((9, 9**7 - 40, 64))  # the end of the space's short last block
+    def test_wiener_ranges_match_decoded_trees(self, case):
+        n, start, length = case
+        stop = min(start + length, n ** (n - 2))
+        assert wiener_block(n, start, stop).tolist() == self.decoded_wiener(n, start, stop)
+
     def test_wiener_lanes_refuse_18_vertices(self):
         with pytest.raises(ValueError, match="at most 17 vertices, got n=18"):
-            wiener_block(18, np.zeros((1, 16), dtype=np.int64))
+            wiener_block(18, 0, 1)
+
+    def test_wiener_block_refuses_ranges_outside_one_block(self):
+        for start, stop in ((-1, 5), (5, 4), (124, 126), (0, block_rows(5) + 1)):
+            with pytest.raises(ValueError, match="is not a range of at most"):
+                wiener_block(5, start, stop)
 
     def test_decode_refuses_63_vertices(self):
         with pytest.raises(ValueError, match=r"^enumeration spaces need 2 <= n <= 62, got n=63$"):
@@ -326,6 +398,13 @@ class TestBulkKernels:
         by_value = Counter(wiener(t) for t in enumerate_space(labeled_trees(6)))
         assert scan.count == 6**4
         assert {w: int(c) for w, c in enumerate(scan.hist) if c} == dict(by_value)
+
+    def test_n9_histogram_and_first_ranks_pinned(self):
+        # recorded from the row-by-row decoder: W -> (trees, lowest rank)
+        scan = scan_labeled_trees(labeled_trees(9))
+        assert scan.count == 9**7
+        assert {w: (int(scan.hist[w]), rank) for w, rank in scan.first_rank.items()} == N9_WIENER
+        assert int(scan.hist.sum()) == 9**7
 
     def test_wiener_scan_first_rank_witnesses(self):
         scan = scan_labeled_trees(labeled_trees(5))
