@@ -29,9 +29,11 @@ kernel solves only a block's connected rows (:func:`connected_rows`).  A
 Laplacian, by a Gauss-Jordan sweep across the block's rows-last Laplacian
 stack (:func:`batch_kf_sweep`), with no eigensolve; a ``deleted-edges`` row
 is eigensolved and counted once per distinct p x p Gram matrix of its p
-deleted edges in a block (:func:`gram_classes`).  Every p-edge set of K_n,
-n >= 2p, falls into one exact class of :func:`deletion_classes`, found by
-one scan at 2p vertices.  One
+deleted edges in a block (:func:`gram_classes`, keyed from a per-n
+edge-pair table by :func:`gram_keys`).  Every p-edge set of K_n, n >= 2p,
+falls into one exact class of :func:`deletion_classes`, with its labeled
+count and lowest-rank member, found by one inline scan at 2p vertices, so
+the deleted-edge verifiers scan no labeled space.  One
 scan engine (:func:`scan`) runs every exhaustive scan: blocks start at
 multiples of the block size, each job takes a run of whole blocks, and
 every block's partial result merges in rank order, so the job count
@@ -57,9 +59,9 @@ DEFAULT_BUDGET = 10**8
 # The one tie rule (see tied): relative gap between two Kf values that makes them two values.
 TIE_TOL = 1e-7
 
-# Rows per Gauss-Jordan sweep (batch_kf_sweep): every block's connected rows go
-# through stacks of this one size, which the allocator reuses, where one stack
-# per block would vary with the block's connected count and fragment the heap.
+# Rows per Gauss-Jordan sweep (batch_kf_sweep) and per Gram-key pass of the class
+# scan: every block's rows go through arrays of this one size, which the allocator
+# reuses, where one array per block would vary in size and fragment the heap.
 SWEEP_ROWS = 2048
 
 
@@ -345,19 +347,32 @@ def _edge_gram(ends: np.ndarray) -> np.ndarray:
     return (u == uf).astype(np.int64) + (v == vf) - (u == vf) - (v == uf)
 
 
-def gram_keys(ends: np.ndarray) -> np.ndarray | None:
-    """Each row's N N^T as one int64, its upper entries (each -1, 0 or 1; the diagonal
-    is 2) in base 3; None where that overflows int64 (p >= 10)."""
-    e, f = np.triu_indices(ends.shape[1], 1)
+@lru_cache(maxsize=None)
+def _gram_digits(n: int) -> np.ndarray:
+    """(m * m,) int8: 1 + the Gram matrix of all of E(K_n), flattened, so entry
+    e * m + f is the base-3 digit that edges e and f give a Gram key (:func:`gram_keys`)."""
+    return (_edge_gram(_edge_table(n)[None])[0] + 1).astype(np.int8).ravel()
+
+
+def gram_keys(n: int, subsets: np.ndarray) -> np.ndarray | None:
+    """Each subset row's N N^T as one int64, its upper entries (each -1, 0 or 1; the diagonal
+    is 2) in base 3, by one gather of the (m, m) pair table per edge pair; None where that
+    overflows int64 (p >= 10)."""
+    e, f = np.triu_indices(subsets.shape[1], 1)
     if 3**e.size > np.iinfo(np.int64).max:
         return None
-    return (_edge_gram(ends)[:, e, f] + 1) @ 3 ** np.arange(e.size)
+    digits, m, slots = _gram_digits(n), n * (n - 1) // 2, subsets.T.copy()
+    key = np.zeros(subsets.shape[0], dtype=np.int64)
+    for i, j in zip(e[::-1], f[::-1]):  # Horner: pair k is digit 3^k
+        key *= 3
+        key += digits[slots[i] * m + slots[j]]
+    return key
 
 
-def gram_classes(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def gram_classes(n: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(first row of each class, class of each row) of a deleted-edges block by N N^T
     (:func:`gram_keys`); None where the key overflows int64 (p >= 10)."""
-    key = gram_keys(ends)
+    key = gram_keys(n, subsets)
     if key is None:
         return None
     return tuple(np.unique(key, return_index=True, return_inverse=True)[1:])
@@ -666,15 +681,13 @@ class SubsetScan:
 
     ``checked`` counts every row and ``connected`` the connected ones;
     ``vals`` and ``ranks`` pool every member of the best value groups;
-    ``failures`` holds per-row check failures in rank order; ``by_key``
-    splits the rows by a kernel's key (cycle length, deletion pattern).
+    ``by_key`` splits the rows by a kernel's key (cycle length).
     """
 
     checked: int
     connected: int
     vals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ranks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    failures: list = field(default_factory=list)
     by_key: dict = field(default_factory=dict)
 
 
@@ -690,7 +703,6 @@ def merge_subset_scans(objective: str, top: int, parts: list[SubsetScan]) -> Sub
             np.concatenate([p.ranks for p in parts]),
             objective, top,
         ),
-        [f for p in parts for f in p.failures],
         {key: merge([p.by_key[key] for p in parts if key in p.by_key]) for key in keys},
     )
 
@@ -699,7 +711,7 @@ def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
     idx = connected_rows(n, subs, deleted)
     ends = batch_ends(n, subs[idx])
     if deleted:
-        _, kf = batch_kf(n, batch_eigenvalues(n, ends, True, gram_classes(ends)))
+        _, kf = batch_kf(n, batch_eigenvalues(n, ends, True, gram_classes(n, subs[idx])))
     else:
         kf = batch_kf_sweep(n, ends)
     if classify is None:
@@ -736,23 +748,39 @@ def scan_subsets(
     )
 
 
-def _class_kernel(n, rank0, subs) -> dict:
-    """(Gram key, touched vertices, max degree) -> (rows, first row's (p, 2) endpoints)
-    of a deleted-edges block."""
-    ends = batch_ends(n, subs)
+def _class_kernel(n, classes, rank0, subs) -> dict:
+    """(Q, v, dmax) -> (rows, lowest rank) of a deleted-edges block.
+
+    Rows are keyed by Gram matrix alone (:func:`gram_keys`), SWEEP_ROWS at a
+    time to keep the heap of the process that runs the inline scan small;
+    ``classes`` maps each key met so far to its class, read from one row.
+    N N^T gives H's line graph, whose triangles' signs tell K_3 from K_{1,3},
+    so it fixes H up to isomorphism (Whitney, Amer. J. Math. 54, 1932), and
+    with it v and dmax.
+    """
+    keys = np.concatenate([gram_keys(n, subs[i : i + SWEEP_ROWS]) for i in range(0, subs.shape[0], SWEEP_ROWS)])
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    keys = keys.tolist()
+    new = [i for i, key in enumerate(keys) if key not in classes]
+    ends = batch_ends(n, subs[first[new]])
     deg = batch_degrees(n, ends)
-    keys = np.stack([gram_keys(ends), (deg > 0).sum(axis=1), deg.max(axis=1)], axis=1)
-    uniq, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
-    return {tuple(key): (int(c), ends[i]) for key, i, c in zip(uniq.tolist(), first, counts)}
+    rows = zip(charpoly(_edge_gram(ends)).tolist(), (deg > 0).sum(axis=1).tolist(), deg.max(axis=1).tolist())
+    for i, (q, v, dmax) in zip(new, rows):
+        classes[keys[i]] = (tuple(q), v, dmax)
+    part: dict = {}
+    for key, rank, count in zip(keys, (rank0 + first).tolist(), counts.tolist()):
+        total, lowest = part.get(classes[key], (0, rank))
+        part[classes[key]] = (total + count, min(lowest, rank))
+    return part
 
 
 def _merge_classes(parts: list[dict]) -> dict:
-    """Summed row counts per key; a key keeps the endpoints of its lowest-rank row."""
+    """Summed row counts per class; a class keeps the lowest rank of its first part."""
     classes: dict = {}
     for part in parts:  # rank order
-        for key, (count, ends) in part.items():
-            total, first = classes.get(key, (0, ends))
-            classes[key] = (total + count, first)
+        for key, (count, rank) in part.items():
+            total, lowest = classes.get(key, (0, rank))
+            classes[key] = (total + count, lowest)
     return classes
 
 
@@ -762,21 +790,22 @@ def deletion_classes(p: int) -> dict[tuple[tuple[int, ...], int, int], tuple[int
     Q(x) = det(xI - N N^T) is the characteristic polynomial of H's edge Gram
     matrix (:func:`charpoly`), v the number of vertices H touches and dmax
     its largest degree; q_v counts the labeled H of the class on the vertex
-    set [v].  K_n - H has Kf = n - 1 - p + n Q'(n)/Q(n) (see
-    :func:`batch_eigenvalues`) and minimum degree n - 1 - dmax, and
-    ``deleted_edges(n, p)`` holds C(n, v) q_v rows of the class.  One scan
-    of ``deleted_edges(2p, p)`` (2 vertices for p < 2) finds every class:
-    its rows that touch v vertices number C(2p, v) q_v.  The scan keys rows
-    by Gram matrix, which depends on edge order and orientation; Q, v and
-    dmax do not, so the Gram classes collapse to them before dividing.
+    set [v].  K_n - H has Kf = n - 1 - p + n Q'(n)/Q(n), t = n^(n-2-p) Q(n)
+    spanning trees (see :func:`batch_eigenvalues`) and minimum degree
+    n - 1 - dmax, and ``deleted_edges(n, p)`` holds C(n, v) q_v rows of the
+    class.  One inline scan of ``deleted_edges(2p, p)`` (2 vertices for
+    p < 2; refused past the default budget, p > 6) finds every class: its
+    rows that touch v vertices number C(2p, v) q_v.  The classes come in the
+    order of their endpoints, the class's lowest-rank row: a vertex
+    relabelling that keeps order never raises a rank, so that row touches
+    exactly [v] and is the class's lowest-rank row at every n >= 2p.
     """
     n0 = max(2, 2 * p)
-    by_gram = scan(deleted_edges(n0, p), partial(_class_kernel, n0), _merge_classes)
-    classes = _merge_classes(
-        [{(charpoly(_edge_gram(ends[None])[0].tolist()), v, dmax): (count, ends)}
-         for (_, v, dmax), (count, ends) in by_gram.items()]
-    )
-    return {key: (count // math.comb(n0, key[1]), ends) for key, (count, ends) in classes.items()}
+    by_class = scan(deleted_edges(n0, p), partial(_class_kernel, n0, {}), _merge_classes)
+    keys = sorted(by_class, key=lambda key: by_class[key][1])
+    ranks = np.array([by_class[key][1] for key in keys], dtype=np.int64)
+    ends = batch_ends(n0, unrank_rows(n0 * (n0 - 1) // 2, p, ranks))
+    return {key: (by_class[key][0] // math.comb(n0, key[1]), h) for key, h in zip(keys, ends)}
 
 
 @dataclass

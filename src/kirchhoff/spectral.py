@@ -193,27 +193,28 @@ def batch_determinant(a: np.ndarray) -> np.ndarray:
     return a[:, -1, -1]
 
 
-def charpoly(m: list[list[int]]) -> tuple[int, ...]:
-    """Coefficients of det(xI - m), highest degree first, for a square integer matrix.
+def charpoly(a: np.ndarray) -> np.ndarray:
+    """(K, s+1) coefficients of det(xI - m), highest degree first, for each matrix m of
+    a (K, s, s) integer stack, in its dtype: exact at any size for an object stack.
 
-    Division-free (Berkowitz, Inf. Proc. Letters 18, 1984), in Python ints:
-    with a_r = m[r][r], row R and column C of m[r] beside the leading r x r
-    block A, the characteristic polynomial of the leading (r+1) x (r+1)
-    block is the lower-triangular Toeplitz matrix with first column
-    (1, -a_r, -RC, -RAC, ..., -RA^(r-1)C) times that of A.
+    Division-free (Berkowitz, Inf. Proc. Letters 18, 1984), every matrix of
+    the stack at once: with a_r = m[r][r], row R and column C of m[r] beside
+    the leading r x r block A, the characteristic polynomial of the leading
+    (r+1) x (r+1) block is the lower-triangular Toeplitz matrix with first
+    column (1, -a_r, -RC, -RAC, ..., -RA^(r-1)C) times that of A.
     """
-    poly = [1]
-    for r in range(len(m)):
-        row, col = m[r][:r], [m[i][r] for i in range(r)]
-        toeplitz = [1, -m[r][r]]
+    poly = np.ones((a.shape[0], 1), dtype=a.dtype)
+    for r in range(a.shape[-1]):
+        row, col, block = a[:, r, :r], a[:, :r, r], a[:, :r, :r]
+        toeplitz = [np.ones_like(a[:, r, r]), -a[:, r, r]]
         for _ in range(r):
-            toeplitz.append(-sum(a * b for a, b in zip(row, col)))
-            col = [sum(a * b for a, b in zip(m[i][:r], col)) for i in range(r)]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
-            for i in range(r + 2)
-        ]
-    return tuple(poly)
+            toeplitz.append(-(row * col).sum(axis=1))
+            col = (block * col[:, None, :]).sum(axis=2)
+        toeplitz = np.stack(toeplitz, axis=1)
+        poly, old = np.zeros((a.shape[0], r + 2), dtype=a.dtype), poly
+        for j in range(r + 1):
+            poly[:, j:] += old[:, j, None] * toeplitz[:, : r + 2 - j]
+    return poly
 
 
 # The spectral product accumulates ~n*eps relative error, so exact rounding

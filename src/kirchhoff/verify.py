@@ -13,8 +13,8 @@ Floating Kf values are clustered, and floating strict inequalities decided,
 by the enumeration module's one tie rule (``tied``, relative tolerance
 ``TIE_TOL``); ties inside tree spaces are re-adjudicated
 exactly through the integer Wiener index, which equals the Kirchhoff index
-on trees.  min-ordering compares exact ``Fraction`` values of the
-deleted-edge classes (``enumeration.deletion_classes``) and needs no tie rule.
+on trees.  The deleted-edge verdicts compare exact ``Fraction`` and integer
+values of the deleted-edge classes (``enumeration.deletion_classes``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +58,7 @@ from .graphs import (
     merge_at,
 )
 from .spectral import (
+    ConvergenceFailureError,
     DisconnectedGraphError,
     kf_spectral,
     kf_vertex,
@@ -416,8 +416,8 @@ class VerificationReport:
 REPORT_VERSION = "kirchhoff-report v1"
 
 
-def format_real(x: float) -> str:
-    return f"{x:.12g}"
+def format_real(x: float | Fraction) -> str:
+    return f"{float(x):.12g}"
 
 
 def format_exact(x: Fraction | int) -> str:
@@ -464,186 +464,159 @@ def _deleted_space_params(params: dict) -> tuple[int, int]:
     return n, p
 
 
-def _check_deleted_shape(report: VerificationReport, spec: EnumerationSpec, ranks: np.ndarray, kind: str) -> None:
-    """Fail each of the sorted ``ranks`` whose p deleted edges are not a p-matching
-    (max deleted degree 1) or a p-star (max deleted degree p), as ``kind`` says,
-    from one unrank and degree pass; only a failing rank builds its graph."""
-    n, p = spec.n, spec.count
-    ends = enum.batch_ends(n, enum.unrank_rows(n * (n - 1) // 2, p, ranks))
-    dmax = enum.batch_degrees(n, ends).max(axis=1)
-    for rank in ranks[dmax != (1 if kind == "matching" else p)]:
-        g = member(spec, int(rank))
-        report.fail(graph6_encode(g), f"complement {complement_shape(g).kind}", f"{kind}({p})")
+class DeletionClass(NamedTuple):
+    """One exact class of K_n - H, |H| = p (``enumeration.deletion_classes``), at n: Kf, spanning
+    trees, touched vertices, largest deleted degree, C(n, v) q_v members, its lowest-rank H."""
+
+    kf: Fraction
+    t: int
+    v: int
+    dmax: int
+    weight: int
+    ends: np.ndarray
+
+
+def _deletion_values(n: int, p: int, q: tuple[int, ...]) -> tuple[Fraction, int]:
+    """Exact (Kf, t) of K_n - H: Kf = n - 1 - p + n Q'(n)/Q(n) and t = n^(n-2-p) Q(n),
+    from the characteristic polynomial Q of H's p x p edge Gram matrix."""
+    value = slope = 0
+    for c in q:  # Horner for Q(n) and Q'(n) together
+        slope = slope * n + value
+        value = value * n + c
+    return n - 1 - p + Fraction(n * slope, value), n ** (n - 2 - p) * value
+
+
+def _deletion_classes(report: VerificationReport, n: int, p: int) -> list[DeletionClass]:
+    """Every labeled K_n minus p edges as exact classes, in the rank order of their
+    representatives; a failure when the weights miss the C(C(n,2), p) labeled graphs."""
+    classes = [
+        DeletionClass(*_deletion_values(n, p, q), v, dmax, math.comb(n, v) * q_v, ends)
+        for (q, v, dmax), (q_v, ends) in enum.deletion_classes(p).items()
+    ]
+    weights, total = sum(c.weight for c in classes), math.comb(n * (n - 1) // 2, p)
+    if weights != total:
+        report.fail("-", f"class weights sum to {weights}", f"{total} graphs with {p} deletions")
+    return classes
+
+
+def _class_graph(n: int, ends: np.ndarray) -> Graph:
+    """K_n minus the edges a class representative holds."""
+    return complement(make_graph(n, map(tuple, ends.tolist())))
+
+
+def _bound_classes(report: VerificationReport, budget: int) -> list[DeletionClass]:
+    """The exact classes of the report's K_n minus p edges, once the labeled space
+    passes the budget; ``checked`` is their weight.  Kf and t come from Q alone, so
+    each representative's Gram spectrum (``batch_eigenvalues``) must give its Kf
+    under the tie rule, and the Bareiss count of its reduced Laplacian
+    (``batch_tree_counts``, checked against that spectrum) its t."""
+    n, p = report.params["n"], report.params["p"]
+    enum.check_budget(enum.deleted_edges(n, p), budget)
+    classes = _deletion_classes(report, n, p)
+    report.checked_count = sum(c.weight for c in classes)
+    ends = np.stack([c.ends for c in classes])
+    eigs = enum.batch_eigenvalues(n, ends, True)
+    counts = enum.batch_tree_counts(n, ends, enum.batch_degrees(n, ends), True, eigs)
+    _, kf = enum.batch_kf(n, eigs)
+    for c, count, value in zip(classes, counts.tolist(), kf):
+        if count != c.t or not tied(value, float(c.kf)):
+            raise ConvergenceFailureError(
+                f"class cross-check failed for K_{n} minus {c.ends.tolist()}: Kf {format_exact(c.kf)}, "
+                f"t={c.t} from Q; spectral Kf {value!r}, determinant {count}"
+            )
+    return classes
+
+
+def _extremal_count(report: VerificationReport, classes: list[DeletionClass], value: Fraction, kind: str) -> int:
+    """Labeled count of the classes with Kf ``value``; a failure for each whose p deleted edges
+    are not a p-matching (largest degree 1) or a p-star (largest degree p), as ``kind`` says."""
+    n, p = report.params["n"], report.params["p"]
+    count = 0
+    for c in classes:
+        if c.kf == value:
+            count += c.weight
+            if c.dmax != (1 if kind == "matching" else p):
+                g = _class_graph(n, c.ends)
+                report.fail(graph6_encode(g), f"complement {complement_shape(g).kind}", f"{kind}({p})")
+    return count
 
 
 def _verify_lower_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("lower-bound", {"n": n, "p": p})
-    spec = enum.deleted_edges(n, p)
+    classes = _bound_classes(report, budget)
     bound = bound_eval(n, p).lower_kf
-    scan = enum.scan_subsets(spec, "min", 1, jobs, budget)
-    report.checked_count = scan.checked
-    groups = enum.value_groups(scan.vals, scan.ranks, "min", 1)
-    lead, member_ranks = groups[0]
-    if not _reproduces(lead, bound):
-        report.fail("-", f"min Kf {format_real(lead)}", f"bound {format_exact(bound)}")
+    lowest = min(c.kf for c in classes)
+    if lowest != bound:
+        report.fail("-", f"min Kf {format_real(lowest)}", f"bound {format_exact(bound)}")
+    count = _extremal_count(report, classes, lowest, "matching")
     expected_count = count_labeled_matchings(n, p)
-    if member_ranks.size != expected_count:
-        report.fail(
-            "-",
-            f"{member_ranks.size} minimizers",
-            f"{expected_count} labeled {p}-matchings",
-        )
-    _check_deleted_shape(report, spec, member_ranks, "matching")
-    rep = member(spec, int(member_ranks[0]))
-    report.extremal_witnesses.append(
-        Witness(1, graph6_encode(rep), lead, int(member_ranks.size))
-    )
+    if count != expected_count:
+        report.fail("-", f"{count} minimizers", f"{expected_count} labeled {p}-matchings")
+    rep = _class_graph(n, next(c.ends for c in classes if c.kf == lowest))  # the lowest-rank minimizer
+    report.extremal_witnesses.append(Witness(1, graph6_encode(rep), float(lowest), count))
     report.notes.append(f"lower bound {format_exact(bound)} attained by every minimizer")
-    if scan.connected != scan.checked:
-        report.notes.append(f"skipped {scan.checked - scan.connected} disconnected graphs")
     return report.finalize()
-
-
-def _failure(g: Graph, observed: str, expected: str) -> Counterexample:
-    return Counterexample(graph6_encode(g), observed, expected)
-
-
-def _deletion_block(spec: EnumerationSpec, subs: np.ndarray):
-    """(row indices, Kf, spanning-tree count, max deleted degree) of a block's
-    connected rows, from one endpoint gather and one eigensolve and determinant per Gram class."""
-    n = spec.n
-    idx = enum.connected_rows(n, subs, True)
-    ends = enum.batch_ends(n, subs[idx])
-    deg = enum.batch_degrees(n, ends)
-    classes = enum.gram_classes(ends)
-    eigs = enum.batch_eigenvalues(n, ends, True, classes)
-    _, kf = enum.batch_kf(n, eigs)
-    return idx, kf, enum.batch_tree_counts(n, ends, deg, True, eigs, classes), deg.max(axis=1)
-
-
-def _distinct_pairs(n: int, delta: np.ndarray, t: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The distinct (delta, t) pairs of a block, 0 <= delta < n, and each row's index among them."""
-    t_vals, t_which = np.unique(t, return_inverse=True)
-    keys, which = np.unique(t_which * n + delta, return_inverse=True)
-    return [(k % n, int(t_vals[k // n])) for k in keys.tolist()], which
-
-
-def _upper_bound_kernel(spec: EnumerationSpec, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
-    """Checks of the full and simple upper bounds and their equality case on a
-    block's connected rows, with the exact bounds taken once per distinct
-    (minimum degree, spanning-tree count); the Kf of every connected row goes
-    to the pool, which keeps the maximal group."""
-    n, p = spec.n, spec.count
-    idx, kf, t, dmax = _deletion_block(spec, subs)
-    pairs, which = _distinct_pairs(n, n - 1 - dmax, t)
-    bounds = [_upper_bounds(n, p, delta, count) for delta, count in pairs]
-    full = np.array([float(f) for f, _ in bounds])[which]
-    loose = np.array([f > s for f, s in bounds], dtype=bool)[which]
-    over = kf > full + VALUE_TOL * np.maximum(1.0, full)
-    tight = _reproduces(kf, full)
-    stars = dmax == p
-    failures: list[Counterexample] = []
-    for i in np.flatnonzero(over | loose | (tight != stars)):
-        g = enum.row_graph(spec, subs[idx[i]].tolist())
-        exact_full, exact_simple = bounds[which[i]]
-        if over[i]:
-            failures.append(
-                _failure(g, f"Kf {format_real(kf[i])}", f"<= full bound {format_real(full[i])}")
-            )
-        if loose[i]:
-            failures.append(_failure(
-                g, f"full {format_exact(exact_full)}", f"<= simple {format_exact(exact_simple)}"
-            ))
-        if tight[i] != stars[i]:
-            failures.append(_failure(
-                g,
-                f"equality-with-bound={bool(tight[i])}, star-complement={bool(stars[i])}",
-                "equality exactly on star complements",
-            ))
-    return enum.SubsetScan(subs.shape[0], idx.size, kf, rank0 + idx, failures)
 
 
 def _verify_upper_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("upper-bound", {"n": n, "p": p})
-    spec = enum.deleted_edges(n, p)
-    merge = partial(enum.merge_subset_scans, "max", 1)
-    scan = enum.scan(spec, partial(_upper_bound_kernel, spec), merge, jobs, budget)
-    report.checked_count = scan.connected
-    report.counterexamples.extend(scan.failures)
+    classes = _bound_classes(report, budget)
+    for c in classes:
+        full, simple = _upper_bounds(n, p, n - 1 - c.dmax, c.t)
+        star, tight = c.dmax == p, c.kf == full
+        if c.kf > full:
+            failure = f"Kf {format_real(c.kf)}", f"<= full bound {format_real(full)}"
+        elif full > simple:
+            failure = f"full {format_exact(full)}", f"<= simple {format_exact(simple)}"
+        elif tight != star:
+            failure = f"equality-with-bound={tight}, star-complement={star}", "equality exactly on star complements"
+        else:
+            continue
+        report.fail(graph6_encode(_class_graph(n, c.ends)), *failure)
     star, star_kf, _ = _checked_family_kf(report, "star deletion", FamilySpec("kn-minus-star", (n, p)))
     sharp = bound_eval(n, p, star).upper_kf_full
     if sharp != star_kf:
         report.fail(
             graph6_encode(star), f"full bound {format_exact(sharp)}", f"Kf of star deletion {format_exact(star_kf)}"
         )
-    max_kf = float(scan.vals.max())
-    if not _reproduces(max_kf, star_kf):
-        report.fail("-", f"max Kf {format_real(max_kf)}", f"Kf of star deletion {format_exact(star_kf)}")
+    highest = max(c.kf for c in classes)
+    if highest != star_kf:
+        report.fail("-", f"max Kf {format_real(highest)}", f"Kf of star deletion {format_exact(star_kf)}")
+    count = _extremal_count(report, classes, highest, "star")
     expected = count_labeled_stars(n, p)
-    if scan.ranks.size != expected:
-        report.fail("-", f"{scan.ranks.size} maximizers", f"{expected} labeled stars")
-    _check_deleted_shape(report, spec, np.sort(scan.ranks), "star")
-    report.extremal_witnesses.append(
-        Witness(1, graph6_encode(star), max_kf, int(scan.ranks.size))
-    )
-    report.notes.append(
-        f"maximum {format_exact(star_kf)} attained exactly on star complements"
-    )
+    if count != expected:
+        report.fail("-", f"{count} maximizers", f"{expected} labeled stars")
+    report.extremal_witnesses.append(Witness(1, graph6_encode(star), float(highest), count))
+    report.notes.append(f"maximum {format_exact(star_kf)} attained exactly on star complements")
     return report.finalize()
-
-
-def _tree_count_kernel(spec: EnumerationSpec, bound: int, rank0: int, subs: np.ndarray) -> enum.SubsetScan:
-    """Spanning-tree bound checks on a block's connected rows; pools the rows with t == bound."""
-    idx, _, t, dmax = _deletion_block(spec, subs)
-    stars = dmax == spec.count
-    below, equal = t < bound, t == bound
-    failures: list[Counterexample] = []
-    for i in np.flatnonzero(below | (equal != stars)):
-        g = enum.row_graph(spec, subs[idx[i]].tolist())
-        count = int(t[i])
-        if below[i]:
-            failures.append(_failure(g, f"t={count}", f"t >= {bound}"))
-        if equal[i] != stars[i]:
-            failures.append(_failure(
-                g,
-                f"t={count}, star-complement={bool(stars[i])}",
-                f"t == {bound} exactly on star complements",
-            ))
-    ranks = rank0 + idx[equal]
-    return enum.SubsetScan(subs.shape[0], idx.size, np.full(ranks.size, float(bound)), ranks, failures)
 
 
 def _verify_tree_count_bound(params, budget, jobs) -> VerificationReport:
     n, p = _deleted_space_params(params)
     report = VerificationReport("tree-count-bound", {"n": n, "p": p})
+    classes = _bound_classes(report, budget)
     bound = bound_eval(n, p).tree_count_lower
-    spec = enum.deleted_edges(n, p)
-    merge = partial(enum.merge_subset_scans, "max", 1)
-    scan = enum.scan(spec, partial(_tree_count_kernel, spec, bound), merge, jobs, budget)
-    report.checked_count = scan.connected
-    report.counterexamples.extend(scan.failures)
+    for c in classes:
+        star = c.dmax == p
+        if c.t < bound:
+            failure = f"t={c.t}", f"t >= {bound}"
+        elif (c.t == bound) != star:
+            failure = f"t={c.t}, star-complement={star}", f"t == {bound} exactly on star complements"
+        else:
+            continue
+        report.fail(graph6_encode(_class_graph(n, c.ends)), *failure)
     star = build(FamilySpec("kn-minus-star", (n, p)))
     star_t = tree_count(star)
     if star_t != bound:
         report.fail(graph6_encode(star), f"t={star_t}", f"t == {bound} at the star deletion")
-    equality_count = scan.ranks.size  # one value group: every row with t == bound
+    equality_count = sum(c.weight for c in classes if c.t == bound)
     expected = count_labeled_stars(n, p)
     if equality_count != expected:
         report.fail("-", f"{equality_count} equality cases", f"{expected} labeled stars")
     report.notes.append(f"spanning-tree lower bound {bound}")
     return report.finalize()
-
-
-def _deletion_kf(n: int, p: int, q: tuple[int, ...]) -> Fraction:
-    """Exact Kf(K_n - H) = n - 1 - p + n Q'(n)/Q(n), from the characteristic
-    polynomial Q of H's p x p edge Gram matrix (``enumeration.deletion_classes``)."""
-    value = slope = 0
-    for c in q:  # Horner for Q(n) and Q'(n) together
-        slope = slope * n + value
-        value = value * n + c
-    return n - 1 - p + Fraction(n * slope, value)
 
 
 def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
@@ -661,16 +634,11 @@ def _verify_min_ordering(params, budget, jobs) -> VerificationReport:
     per_pattern = {}
     for p, spec in enumerate(spaces):
         report.checked_count += cardinality(spec)
-        weights = 0
         shapes: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
-        for (q, v, dmax), (q_v, ends) in enum.deletion_classes(p).items():
-            weight = math.comb(n, v) * q_v
-            weights += weight
-            shapes.setdefault((dmax, v), (ends, []))[1].append((_deletion_kf(n, p, q), weight))
-        if weights != cardinality(spec):
-            report.fail("-", f"class weights sum to {weights}", f"{cardinality(spec)} graphs with {p} deletions")
+        for c in _deletion_classes(report, n, p):
+            shapes.setdefault((c.dmax, c.v), (c.ends, []))[1].append((c.kf, c.weight))
         for ends, classes in shapes.values():
-            g = complement(make_graph(n, map(tuple, ends.tolist())))
+            g = _class_graph(n, ends)
             pattern = _PATTERN_INDEX.get(complement_shape(g))
             if pattern is None:
                 report.fail(graph6_encode(g), "unclassified deletion pattern", "one of the nine named patterns")

@@ -56,8 +56,8 @@ class TestCompute:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify", "--theorem", "upper-bound", "--n", "6", "--p", "2", "--jobs", "1"),  # inline scan
-            ("verify", "--theorem", "upper-bound", "--n", "8", "--p", "4", "--jobs", "2"),  # fork pool
+            ("search", "--deleted-edges", "6,2", "--max", "--jobs", "1"),  # inline scan
+            ("search", "--deleted-edges", "8,4", "--max", "--jobs", "2"),  # fork pool
         ],
         ids=["inline", "fork-pool"],
     )

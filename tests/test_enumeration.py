@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import kirchhoff.enumeration as enum
 import kirchhoff.verify as verify
+import labeled_bounds
 from kirchhoff.enumeration import (
     BudgetExceededError,
     batch_connected,
@@ -30,6 +31,7 @@ from kirchhoff.enumeration import (
     deletion_classes,
     enumerate_space,
     gram_classes,
+    gram_keys,
     labeled_trees,
     member,
     prufer_decode,
@@ -368,7 +370,7 @@ class TestBulkKernels:
         table = complete_edge_table(6)
         subs = np.array(list(combinations(range(15), 2))[:40], dtype=np.int64)
         ends = batch_ends(6, subs)
-        eigs = batch_eigenvalues(6, ends, True, gram_classes(ends))
+        eigs = batch_eigenvalues(6, ends, True, gram_classes(6, subs))
         conn, kf = batch_kf(6, eigs)
         for row in range(40):
             g = make_graph(6, set(table) - {table[i] for i in subs[row]})
@@ -558,8 +560,7 @@ def _full_deleted_spectrum(n, subs):
 
 
 def _deleted_eigenvalues(n, subs):
-    ends = batch_ends(n, subs)
-    return batch_eigenvalues(n, ends, True, gram_classes(ends))
+    return batch_eigenvalues(n, batch_ends(n, subs), True, gram_classes(n, subs))
 
 
 def _all_subsets(n, p):
@@ -649,7 +650,7 @@ def _per_row_gram_spectrum(n, subs):
 def _grouped_counts(n, subs):
     ends = batch_ends(n, subs)
     deg = batch_degrees(n, ends)
-    classes = gram_classes(ends)
+    classes = gram_classes(n, subs)
     return batch_tree_counts(n, ends, deg, True, batch_eigenvalues(n, ends, True, classes), classes)
 
 
@@ -686,7 +687,7 @@ class TestGramClasses:
     @staticmethod
     def _assert_classes_and_spectra(n, subs):
         grams = _incidence_grams(n, subs).reshape(subs.shape[0], -1)
-        first, which = gram_classes(batch_ends(n, subs))
+        first, which = gram_classes(n, subs)
         assert (grams[first][which] == grams).all()  # a class holds one Gram matrix ...
         assert first.size == np.unique(grams, axis=0).shape[0]  # ... and no two classes share one
         got, want = _deleted_eigenvalues(n, subs), _per_row_gram_spectrum(n, subs)
@@ -738,7 +739,7 @@ class TestGramClasses:
 
         monkeypatch.setattr(enum, "batch_connected", fail)
         assert scan_subsets(deleted_edges(6, 4), "max", 1).connected == math.comb(15, 4)
-        idx, _, _, _ = verify._deletion_block(deleted_edges(8, 4), _all_subsets(8, 4)[:100])
+        idx, _, _, _ = labeled_bounds.deletion_block(deleted_edges(8, 4), _all_subsets(8, 4)[:100])
         assert idx.tolist() == list(range(100))
 
     @pytest.mark.parametrize("n", range(3, 8))
@@ -753,9 +754,9 @@ class TestGramClasses:
         matching = [(2 * i, 2 * i + 1) for i in range(10)]
         path = [(i, i + 1) for i in range(10)]
         subs = _subs([sorted(index[e] for e in edges) for edges in (star, matching, path, star, path)])
-        assert gram_classes(batch_ends(n, subs)) is None
+        assert gram_classes(n, subs) is None
         assert _max_error(n, subs) <= n * 1e-13
-        idx, kf, t, dmax = verify._deletion_block(deleted_edges(n, 10), subs)
+        idx, kf, t, dmax = labeled_bounds.deletion_block(deleted_edges(n, 10), subs)
         exact = batch_kf(n, _full_deleted_spectrum(n, subs))[1]
         assert idx.tolist() == list(range(5)) and (np.abs(kf - exact) <= 1e-12 * exact).all()
         assert t.tolist() == _per_row_counts(n, subs).tolist()
@@ -783,6 +784,59 @@ class TestCycleLength:
         assert batch_cycle_length(7, np.zeros((0, 7), dtype=np.int64)).tolist() == []
 
 
+# (Q, v, dmax) -> (q_v, the lowest-rank H) for p <= 4, from the labeled scan at 2p vertices
+PINNED_CLASSES = {
+    ((1,), 0, 0): (1, []),
+    ((1, -2), 2, 1): (1, [[0, 1]]),
+    ((1, -4, 3), 3, 2): (3, [[0, 1], [0, 2]]),
+    ((1, -4, 4), 4, 1): (3, [[0, 1], [2, 3]]),
+    ((1, -6, 9, -4), 4, 3): (4, [[0, 1], [0, 2], [0, 3]]),
+    ((1, -6, 9, 0), 3, 2): (1, [[0, 1], [0, 2], [1, 2]]),
+    ((1, -6, 10, -4), 4, 2): (12, [[0, 1], [0, 2], [1, 3]]),
+    ((1, -6, 11, -6), 5, 2): (30, [[0, 1], [0, 2], [3, 4]]),
+    ((1, -6, 12, -8), 6, 1): (15, [[0, 1], [2, 3], [4, 5]]),
+    ((1, -8, 18, -16, 5), 5, 4): (5, [[0, 1], [0, 2], [0, 3], [0, 4]]),
+    ((1, -8, 19, -12, 0), 4, 3): (12, [[0, 1], [0, 2], [0, 3], [1, 2]]),
+    ((1, -8, 20, -18, 5), 5, 3): (60, [[0, 1], [0, 2], [0, 3], [1, 4]]),
+    ((1, -8, 21, -22, 8), 6, 3): (60, [[0, 1], [0, 2], [0, 3], [4, 5]]),
+    ((1, -8, 21, -18, 0), 5, 2): (10, [[0, 1], [0, 2], [1, 2], [3, 4]]),
+    ((1, -8, 20, -16, 0), 4, 2): (3, [[0, 1], [0, 2], [1, 3], [2, 3]]),
+    ((1, -8, 21, -20, 5), 5, 2): (60, [[0, 1], [0, 2], [1, 3], [2, 4]]),
+    ((1, -8, 22, -24, 8), 6, 2): (180, [[0, 1], [0, 2], [1, 3], [4, 5]]),
+    ((1, -8, 22, -24, 9), 6, 2): (90, [[0, 1], [0, 2], [3, 4], [3, 5]]),
+    ((1, -8, 23, -28, 12), 7, 2): (315, [[0, 1], [0, 2], [3, 4], [5, 6]]),
+    ((1, -8, 24, -32, 16), 8, 1): (105, [[0, 1], [2, 3], [4, 5], [6, 7]]),
+}
+
+
+def _edge_gram_keys(n, subs):
+    """Gram keys from each row's whole (p, p) N N^T, as the pair table replaced."""
+    e, f = np.triu_indices(subs.shape[1], 1)
+    return (enum._edge_gram(batch_ends(n, subs))[:, e, f] + 1) @ 3 ** np.arange(e.size)
+
+
+class TestGramKeys:
+    """One gather of the (m, m) pair table per edge pair against the keys read off N N^T."""
+
+    @pytest.mark.parametrize("n,p", SMALL_DELETED + [(6, 10)])
+    def test_every_row_of_small_spaces(self, n, p):
+        subs = _all_subsets(n, p)
+        if p >= 10:
+            assert gram_keys(n, subs) is None
+        else:
+            assert gram_keys(n, subs).tolist() == _edge_gram_keys(n, subs).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: _repeated_rows(n, 10, 0)))
+    def test_random_rows_up_to_12_vertices(self, case):
+        n, rows = case
+        subs = _subs(rows)
+        if subs.shape[1] >= 10:
+            assert gram_keys(n, subs) is None
+        else:
+            assert gram_keys(n, subs).tolist() == _edge_gram_keys(n, subs).tolist()
+
+
 class TestDeletionClasses:
     """Every p-edge set by (characteristic polynomial of N N^T, touched vertices,
     max degree), from one scan at 2p vertices."""
@@ -800,16 +854,27 @@ class TestDeletionClasses:
 
     @pytest.mark.parametrize("n,p", [(6, 3), (7, 3), (8, 4)])
     def test_every_row_has_its_class(self, n, p):
-        # each labeled row's (Q, v, dmax) is a class, and each class holds C(n, v) q_v rows
+        # each labeled row's (Q, v, dmax) is a class, each class holds C(n, v) q_v rows,
+        # and its representative is its lowest-rank row at n as at 2p
         classes = deletion_classes(p)
-        ends = batch_ends(n, _all_subsets(n, p))
+        subs = _all_subsets(n, p)
+        ends = batch_ends(n, subs)
         deg = batch_degrees(n, ends)
-        grams = [tuple(map(tuple, gram)) for gram in enum._edge_gram(ends).tolist()]
-        rows = Counter(zip(grams, (deg > 0).sum(axis=1).tolist(), deg.max(axis=1).tolist()))
-        seen = Counter()
-        for (gram, v, dmax), count in rows.items():
-            seen[charpoly(gram), v, dmax] += count
+        q = map(tuple, charpoly(enum._edge_gram(ends)).tolist())
+        rows = zip(q, (deg > 0).sum(axis=1).tolist(), deg.max(axis=1).tolist())
+        seen, first = Counter(), {}
+        for rank, key in enumerate(rows):
+            seen[key] += 1
+            first.setdefault(key, rank)
         assert seen == {key: math.comb(n, key[1]) * q_v for key, (q_v, _) in classes.items()}
+        assert {key: ends[rank].tolist() for key, rank in first.items()} == {
+            key: h.tolist() for key, (_, h) in classes.items()
+        }
+        assert list(classes) == sorted(first, key=first.get)  # in representative-rank order
+
+    def test_class_tables_are_pinned(self):
+        got = {key: (q_v, h.tolist()) for p in range(5) for key, (q_v, h) in deletion_classes(p).items()}
+        assert got == PINNED_CLASSES
 
     def test_representatives_touch_their_vertices(self):
         for p in range(5):

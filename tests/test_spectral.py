@@ -375,7 +375,7 @@ class TestZeroThreshold:
 
 def _eigenvalues(n, subs, deleted):
     ends = batch_ends(n, subs)
-    return batch_eigenvalues(n, ends, deleted, gram_classes(ends) if deleted else None)
+    return batch_eigenvalues(n, ends, deleted, gram_classes(n, subs) if deleted else None)
 
 
 def _subset_rows(n):
@@ -420,7 +420,7 @@ class TestBatchConnectivity:
         graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
         ends = batch_ends(n, subs)
         deg = batch_degrees(n, ends)
-        classes = gram_classes(ends) if deleted else None
+        classes = gram_classes(n, subs) if deleted else None
         counts = batch_tree_counts(n, ends, deg, deleted, batch_eigenvalues(n, ends, deleted, classes), classes)
         assert [int(t) for t in counts] == [tree_count(g) for g in graphs]
         assert [bool(t) for t in counts] == [is_connected(g) for g in graphs]
@@ -445,7 +445,7 @@ def _fraction_det(m):
 
 
 class TestCharpoly:
-    """det(xI - M) by Berkowitz, in Python ints, against exact elimination."""
+    """det(xI - M) by Berkowitz, over a stack of matrices, against exact elimination."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -457,13 +457,16 @@ class TestCharpoly:
     @example([[0]])
     @example([[2, 1, 0], [1, 2, -1], [0, -1, 2]])  # the Gram matrix of a 3-edge path
     def test_matches_exact_determinants(self, m):
-        q = charpoly(m)
-        assert len(q) == len(m) + 1 and q[0] == 1
-        for x in (-3, 0, 1, 2, 7, 13):
-            shifted = [[x * (i == j) - m[i][j] for j in range(len(m))] for i in range(len(m))]
-            assert sum(c * x ** (len(m) - k) for k, c in enumerate(q)) == _fraction_det(shifted)
+        s = len(m)
+        for dtype in (object, np.int64):
+            stack = np.array([m, [[-x for x in row] for row in m]], dtype=dtype).reshape(2, s, s)
+            for q, a in zip(charpoly(stack).tolist(), stack.tolist()):
+                assert len(q) == s + 1 and q[0] == 1
+                for x in (-3, 0, 1, 2, 7, 13):
+                    shifted = [[x * (i == j) - a[i][j] for j in range(s)] for i in range(s)]
+                    assert sum(c * x ** (s - k) for k, c in enumerate(q)) == _fraction_det(shifted)
 
     def test_coefficients_are_python_ints(self):
-        # 2^62 entries overflow any int64 product: the coefficients stay exact
+        # 2^62 entries overflow any int64 product: an object stack stays exact
         big = 1 << 62
-        assert charpoly([[big, big], [big, big]]) == (1, -2 * big, 0)
+        assert charpoly(np.array([[[big, big], [big, big]]], dtype=object)).tolist() == [[1, -2 * big, 0]]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kirchhoff.verify as verify
+import labeled_bounds
 from kirchhoff.enumeration import (
     BudgetExceededError,
     batch_degrees,
@@ -27,7 +28,7 @@ from kirchhoff.enumeration import (
 )
 from kirchhoff.families import FamilySpec, build, edge_shape
 from kirchhoff.graphs import is_connected, make_graph
-from kirchhoff.spectral import DisconnectedGraphError, kf_spectral, tree_count
+from kirchhoff.spectral import ConvergenceFailureError, DisconnectedGraphError, kf_spectral, tree_count
 from kirchhoff.verify import (
     ComplementShape,
     Counterexample,
@@ -146,9 +147,9 @@ def _per_row_tree_count_failures(spec, bound, subs):
         t = tree_count(g)
         star = complement_shape(g) == ComplementShape("star", p)
         if t < bound:
-            out.append(verify._failure(g, f"t={t}", f"t >= {bound}"))
+            out.append(labeled_bounds.failure(g, f"t={t}", f"t >= {bound}"))
         if (t == bound) != star:
-            out.append(verify._failure(
+            out.append(labeled_bounds.failure(
                 g, f"t={t}, star-complement={star}", f"t == {bound} exactly on star complements"
             ))
     return out
@@ -158,13 +159,14 @@ SMALL_DELETIONS = [(n, p) for n in range(4, 8) for p in range(2, min(3, n // 2) 
 
 
 class TestBlockKernels:
-    """The batched Kf, spanning-tree count, minimum degree and star mask
-    against the per-graph route, which stays as the oracle."""
+    """The labeled route's batched Kf, spanning-tree count, minimum degree and
+    star mask (the class route's oracle, tests/labeled_bounds.py) against the
+    per-graph route."""
 
     @pytest.mark.parametrize("n,p", SMALL_DELETIONS)
     def test_block_values_match_per_row_route(self, n, p):
         for spec, _, subs in _blocks(n, p):
-            idx, kf, t, dmax = verify._deletion_block(spec, subs)
+            idx, kf, t, dmax = labeled_bounds.deletion_block(spec, subs)
             graphs = [row_graph(spec, row) for row in subs.tolist()]
             assert idx.tolist() == [i for i, g in enumerate(graphs) if is_connected(g)]
             for i, value, count, top in zip(idx.tolist(), kf, t, dmax):
@@ -181,7 +183,7 @@ class TestBlockKernels:
     def test_forced_tree_count_failures_match_per_row_oracle(self, n, p):
         bound = bound_eval(n, p).tree_count_lower + 1
         for spec, rank0, subs in _blocks(n, p):
-            got = verify._tree_count_kernel(spec, bound, rank0, subs)
+            got = labeled_bounds.tree_count_kernel(spec, bound, rank0, subs)
             expected = _per_row_tree_count_failures(spec, bound, subs)
             assert got.failures == expected
             assert len(expected) >= count_labeled_stars(n, p)
@@ -189,7 +191,7 @@ class TestBlockKernels:
     def test_block_without_connected_rows(self):
         spec = deleted_edges(6, 5)
         subs = np.array([[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]], dtype=np.int64)  # vertex 0, then vertex 1 isolated
-        for kernel in (verify._upper_bound_kernel, partial(verify._tree_count_kernel, bound=1)):
+        for kernel in (labeled_bounds.upper_bound_kernel, partial(labeled_bounds.tree_count_kernel, bound=1)):
             scan = kernel(spec, rank0=10, subs=subs)
             assert (scan.checked, scan.connected, scan.ranks.size, scan.failures) == (2, 0, 0, [])
 
@@ -201,17 +203,118 @@ class TestBlockKernels:
         spec = deleted_edges(n, p)
         ranks = np.arange(cardinality(spec))
         got = verify.VerificationReport("t", {})
-        verify._check_deleted_shape(got, spec, ranks, kind)
+        labeled_bounds.check_deleted_shape(got, spec, ranks, kind)
         expected = []
         for rank in ranks.tolist():
             g = verify.member(spec, rank)
             shape = complement_shape(g)
             if shape != ComplementShape(kind, p):
-                expected.append(verify._failure(g, f"complement {shape.kind}", f"{kind}({p})"))
+                expected.append(labeled_bounds.failure(g, f"complement {shape.kind}", f"{kind}({p})"))
         assert got.counterexamples == expected
         assert len(expected) == cardinality(spec) - (
             count_labeled_matchings(n, p) if kind == "matching" else count_labeled_stars(n, p)
         )
+
+
+def _body(report):
+    return render_report(report).splitlines()[:-1]
+
+
+def _lex_rank(n, edges):
+    """Rank of a set of edges of K_n in ``deleted_edges(n, len(edges))``, by the colex identity of unrank_rows."""
+    index = {e: i for i, e in enumerate(complete_edge_table(n))}
+    m, k = n * (n - 1) // 2, len(edges)
+    flipped = sorted(m - 1 - index[e] for e in edges)
+    return math.comb(m, k) - 1 - sum(math.comb(t, i + 1) for i, t in enumerate(flipped))
+
+
+# Every labeled space the tier-1 tests and the benchmark verify, and every one of at most 2e5 rows.
+ORACLE_SPACES = [
+    (n, p) for n in range(4, 37) for p in range(2, n // 2 + 1) if math.comb(n * (n - 1) // 2, p) <= 2 * 10**5
+]
+
+
+class TestClassRoute:
+    """The three bound verdicts from the exact deletion classes against the labeled
+    route they replaced (tests/labeled_bounds.py): the same report bytes, status,
+    checked count, witness and equality counts."""
+
+    @pytest.mark.parametrize("n,p", ORACLE_SPACES)
+    def test_reports_match_the_labeled_route(self, n, p):
+        for theorem, labeled in labeled_bounds.LABELED.items():
+            want, ranks = labeled(n, p, jobs=2)
+            got = verify_theorem(theorem, {"n": n, "p": p})
+            assert _body(got) == _body(want)
+            assert (got.status, got.checked_count) == ("PASS", cardinality(deleted_edges(n, p)))
+            if theorem == "tree-count-bound":
+                bound = bound_eval(n, p).tree_count_lower
+                classes = verify._deletion_classes(got, n, p)
+                assert sum(c.weight for c in classes if c.t == bound) == ranks.size
+            else:
+                assert got.extremal_witnesses[0].count == ranks.size
+            if theorem == "lower-bound":
+                # the witness is the lowest-rank matching (0,1), (2,3), ..., ranked without a scan
+                assert _lex_rank(n, [(2 * i, 2 * i + 1) for i in range(p)]) == ranks[0]
+
+    @pytest.mark.parametrize("theorem", list(labeled_bounds.LABELED))
+    def test_refused_over_budget_before_any_class(self, theorem, monkeypatch):
+        def fail(p):
+            raise AssertionError("classes built")
+
+        monkeypatch.setattr(verify.enum, "deletion_classes", fail)
+        with pytest.raises(BudgetExceededError) as refusal:
+            verify_theorem(theorem, {"n": 40, "p": 20})
+        assert refusal.value.cardinality == math.comb(780, 20)
+
+
+def _patched_classes(monkeypatch, p, change):
+    """deletion_classes with ``change(key, q_v)`` -> (key, q_v) applied to every class at p."""
+    real = verify.enum.deletion_classes
+
+    def patched(q):
+        if q != p:
+            return real(q)
+        changed = {}
+        for key, (q_v, ends) in real(q).items():
+            key, q_v = change(key, q_v)
+            changed[key] = (q_v, ends)
+        return changed
+
+    monkeypatch.setattr(verify.enum, "deletion_classes", patched)
+
+
+class TestClassFailures:
+    """A violating class fails its verdict once, by K_n minus its representative."""
+
+    @pytest.mark.parametrize("theorem", list(labeled_bounds.LABELED))
+    def test_one_violating_class_is_one_counterexample(self, theorem, monkeypatch):
+        # the 3-matching, marked as a 3-star: no bound is tight on it, and it is no matching
+        n, p = 8, 3
+        _patched_classes(monkeypatch, p, lambda key, q_v: ((key[0], key[1], p) if key[2] == 1 else key, q_v))
+        rep = verify_theorem(theorem, {"n": n, "p": p})
+        assert rep.status == "FAIL" and rep.checked_count == math.comb(28, 3)
+        matching = make_graph(n, set(complete_edge_table(n)) - {(0, 1), (2, 3), (4, 5)})
+        assert [ce.graph6 for ce in rep.counterexamples] == [graph6_encode(matching)]
+        lines = [line for line in render_report(rep).splitlines() if line.startswith("counterexample: ")]
+        assert len(lines) == 1 and graph6_encode(matching) in lines[0]
+
+    @pytest.mark.parametrize("theorem", list(labeled_bounds.LABELED))
+    def test_a_wrong_class_weight_fails_the_weight_sum(self, theorem, monkeypatch):
+        # one more P3 + K2 on [5]: C(8, 5) weight too many, no extremal class touched
+        n, p = 8, 3
+        _patched_classes(monkeypatch, p, lambda key, q_v: (key, q_v + (key[1:] == (5, 2))))
+        rep = verify_theorem(theorem, {"n": n, "p": p})
+        total = math.comb(28, 3)
+        assert rep.status == "FAIL" and rep.checked_count == total + 56
+        assert rep.counterexamples == [
+            Counterexample("-", f"class weights sum to {total + 56}", f"{total} graphs with 3 deletions")
+        ]
+
+    def test_a_wrong_polynomial_fails_the_cross_check(self, monkeypatch):
+        # the 3-matching's class given the 3-star's Q: t and Kf no longer match its spectrum
+        _patched_classes(monkeypatch, 3, lambda key, q_v: (((1, -6, 9, -4), *key[1:]) if key[2] == 1 else key, q_v))
+        with pytest.raises(ConvergenceFailureError, match="class cross-check failed"):
+            verify_theorem("upper-bound", {"n": 8, "p": 3})
 
 
 class TestCheckIdentity:
@@ -431,7 +534,7 @@ class TestMinOrderingClasses:
                 g = make_graph(n, table - set(map(tuple, ends.tolist())))
                 shape, count, kfs = by_key.setdefault(dmax * (n + 1) + v, (complement_shape(g), [0], []))
                 count[0] += math.comb(n, v) * q_v
-                kfs.append(verify._deletion_kf(n, p, q))
+                kfs.append(verify._deletion_values(n, p, q)[0])
             assert sorted(by_key) == sorted(labeled)
             for key, (shape, (count,), kfs) in by_key.items():
                 rows = labeled[key]
@@ -461,7 +564,7 @@ class TestMinOrderingClasses:
         monkeypatch.setattr(verify, "bound_eval", lowered)
         rep = verify_theorem("min-ordering", {"n": 13})
         g9 = fam("gi", 13, 9)
-        kf = verify._deletion_kf(13, 3, (1, -6, 9, -4))  # the 3-star's Gram polynomial
+        kf, _ = verify._deletion_values(13, 3, (1, -6, 9, -4))  # the 3-star's Gram polynomial
         assert abs(float(kf) - kf_spectral(g9)) <= 1e-9 * kf
         assert rep.status == "FAIL"
         assert rep.counterexamples == [
