@@ -33,17 +33,20 @@ deleted edges in a block (:func:`gram_classes`, keyed from a per-n
 edge-pair table by :func:`gram_keys`).  Every p-edge set of K_n, n >= 2p,
 falls into one exact class of :func:`deletion_classes`, with its labeled
 count and lowest-rank member, found by one inline scan at 2p vertices, so
-the deleted-edge verifiers scan no labeled space.  One
-scan engine (:func:`scan`) runs every exhaustive scan: blocks start at
-multiples of the block size, each job takes a run of whole blocks, and
-every block's partial result merges in rank order, so the job count
-changes no block and no result.
+the deleted-edge verifiers scan no labeled space.  The tree scan
+(:func:`scan_labeled_trees`) walks only a prefix of its space: its Wiener
+histogram is counted by a rooted-forest recurrence (:func:`wiener_counts`),
+and it decodes inline, from rank 0, only the blocks up to the last value's
+first tree.  One scan engine (:func:`scan`) runs every other exhaustive
+scan: blocks start at multiples of the block size, each job takes a run of
+whole blocks, and every block's partial result merges in rank order, so
+the job count changes no block and no result.  It imports
+:mod:`multiprocessing` only to fork, so inline scans never load it.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -571,6 +574,34 @@ def wiener_block(n: int, start: int, stop: int) -> np.ndarray:
     return W
 
 
+def wiener_counts(n: int) -> np.ndarray:
+    """(n^3 // 6 + 2,) int64: the number of labeled trees on n <= 17 vertices at
+    each Wiener index, counted without decoding a tree.
+
+    Rooted at vertex n-1, a tree is that vertex over a rooted forest on the
+    other n-1, and the edge above a vertex whose subtree has j vertices adds
+    j(n-j) to W.  With F_k the generating polynomial in W of the rooted
+    forests on k labeled vertices, take the tree of the forest's smallest
+    vertex, with j vertices, root chosen j ways, a forest F_{j-1} below it:
+    F_0 = 1 and F_k = sum_j C(k-1, j-1) x^{j(n-j)} j F_{j-1} F_{k-j}, and the
+    counts are F_{n-1}.  Every term and partial sum counts some of the
+    n^(n-2) <= 17^15 trees, so int64 holds it exactly.
+    """
+    if n > 17:
+        raise ValueError(f"int64 tree counts hold trees on at most 17 vertices, got n={n}")
+    size = n**3 // 6 + 2  # past C(n+1, 3), the path's W, the largest
+    forests = [np.ones(1, dtype=np.int64)]
+    for k in range(1, n):
+        f = np.zeros(size, dtype=np.int64)
+        for j in range(1, k + 1):
+            below = np.convolve(forests[j - 1], forests[k - j])
+            f[j * (n - j) : j * (n - j) + below.size] += math.comb(k - 1, j - 1) * j * below
+        forests.append(np.trim_zeros(f, "b"))
+    hist = np.zeros(size, dtype=np.int64)
+    hist[: forests[-1].size] = forests[-1]
+    return hist
+
+
 # ---------------------------------------------------------------------------
 # Value-group pooling
 
@@ -670,6 +701,8 @@ def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFA
     tasks = [(spec, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
     if jobs == 1:
         return merge(_scan_worker(tasks[0]))
+    import multiprocessing  # only here: inline scans never pay for its import
+
     workers = min(jobs, len(os.sched_getaffinity(0)))
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         return merge([part for parts in pool.map(_scan_worker, tasks) for part in parts])
@@ -817,10 +850,10 @@ class TreeScan:
 
 def _wiener_kernel(n, rank0, ranks) -> TreeScan:
     W = wiener_block(n, ranks.start, ranks.stop)
-    hist = np.bincount(W, minlength=n**3 // 6 + 2)
-    values = np.flatnonzero(hist)
-    first = rank0 + (W == values[:, None]).argmax(axis=1)
-    return TreeScan(W.size, hist, dict(zip(values.tolist(), first.tolist())))
+    values, first, counts = np.unique(W, return_index=True, return_counts=True)
+    hist = np.zeros(n**3 // 6 + 2, dtype=np.int64)
+    hist[values] = counts
+    return TreeScan(W.size, hist, dict(zip(values.tolist(), (rank0 + first).tolist())))
 
 
 def _merge_histograms(parts: list[TreeScan]) -> TreeScan:
@@ -831,8 +864,22 @@ def _merge_histograms(parts: list[TreeScan]) -> TreeScan:
     return TreeScan(sum(p.count for p in parts), sum(p.hist for p in parts), first_rank)
 
 
-def scan_labeled_trees(
-    spec: EnumerationSpec, jobs: int = 1, budget: int = DEFAULT_BUDGET
-) -> TreeScan:
-    """Exact Wiener histogram over all labeled trees, with first-rank witnesses."""
-    return scan(spec, partial(_wiener_kernel, spec.n), _merge_histograms, jobs, budget)
+def scan_labeled_trees(spec: EnumerationSpec, budget: int = DEFAULT_BUDGET) -> TreeScan:
+    """Exact Wiener histogram over all labeled trees, with first-rank witnesses.
+
+    The histogram is counted (:func:`wiener_counts`); the lowest rank at each
+    value comes from decoding blocks inline from rank 0 until every value has
+    been seen, the prefix that holds each value's first tree.  The labeled
+    scan, ``scan(spec, partial(_wiener_kernel, n), _merge_histograms)``,
+    gives the same result and is kept as the tests' oracle.
+    """
+    total = check_budget(spec, budget)
+    hist = wiener_counts(spec.n)
+    values = np.count_nonzero(hist)
+    first_rank: dict[int, int] = {}
+    for rank0, ranks in _blocks(spec, 0, total):  # rank order, as in _merge_histograms
+        for w, rank in _wiener_kernel(spec.n, rank0, ranks).first_rank.items():
+            first_rank.setdefault(w, rank)
+        if len(first_rank) == values:
+            break
+    return TreeScan(int(hist.sum()), hist, first_rank)

@@ -364,7 +364,7 @@ def extremal_search(
     if jobs < 1:
         raise ParamOutOfRangeError(f"jobs must be >= 1, got {jobs}")
     if spec.mode == "labeled-trees":
-        trees = enum.scan_labeled_trees(spec, jobs, budget)
+        trees = enum.scan_labeled_trees(spec, budget)
         values = sorted(map(int, np.flatnonzero(trees.hist)), reverse=objective == "max")[:k]
         groups = [(float(w), trees.first_rank[w], int(trees.hist[w])) for w in values]
     else:
@@ -730,7 +730,7 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
             f"exhaustive saturation skipped: {size} trees exceed budget {budget}"
         )
     else:
-        scan = enum.scan_labeled_trees(spec, jobs, budget)
+        scan = enum.scan_labeled_trees(spec, budget)
         report.checked_count = scan.count
         if scan.count != size:
             report.fail("-", f"scanned {scan.count}", f"{size} labeled trees")

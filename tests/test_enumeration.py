@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 from collections import Counter
+from functools import partial
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -44,6 +46,7 @@ from kirchhoff.enumeration import (
     suffix_masks,
     tail_length,
     wiener_block,
+    wiener_counts,
 )
 from kirchhoff.families import GI_PATTERNS, FamilySpec, build, closed_form_kf
 from kirchhoff.graphs import is_connected, make_graph
@@ -75,6 +78,11 @@ def adjacency_cycle_length(n, subsets):
 def block_extent(rank0, rows):
     """A scan kernel that records the block it was given: (first rank, rows)."""
     return rank0, len(rows)
+
+
+def labeled_tree_scan(n, jobs=1):
+    """The labeled tree scan scan_labeled_trees replaced: every tree decoded, at ``jobs``."""
+    return enum.scan(labeled_trees(n), partial(enum._wiener_kernel, n), enum._merge_histograms, jobs)
 
 
 # Wiener index -> (labeled trees on 9 vertices, lowest rank), from the row-by-row decoder
@@ -118,6 +126,8 @@ class TestCardinalityAndBudget:
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(enum, "_scan_worker", no_block)
+        monkeypatch.setattr(enum, "wiener_block", no_block)
+        monkeypatch.setattr(enum, "wiener_counts", no_block)
         with pytest.raises(BudgetExceededError):
             scan_subsets(deleted_edges(40, 20), "max", 1)
         with pytest.raises(BudgetExceededError):
@@ -413,6 +423,52 @@ class TestBulkKernels:
         for w, rank in scan.first_rank.items():
             assert wiener(member(labeled_trees(5), rank)) == w
 
+    @staticmethod
+    def assert_same_tree_scan(got, want):
+        assert type(got.count) is int and got.count == want.count
+        assert got.hist.dtype == want.hist.dtype and got.hist.tolist() == want.hist.tolist()
+        assert list(got.first_rank.items()) == list(want.first_rank.items())
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_counted_tree_scan_as_the_labeled_scan(self, n):
+        self.assert_same_tree_scan(scan_labeled_trees(labeled_trees(n)), labeled_tree_scan(n))
+
+    def test_counted_tree_scan_as_the_labeled_scan_at_10(self):
+        # 10^8 trees in 6,104 blocks, all decoded by the labeled scan
+        self.assert_same_tree_scan(scan_labeled_trees(labeled_trees(10)), labeled_tree_scan(10, jobs=2))
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_tree_counts_sum_to_cayley(self, n):
+        hist = wiener_counts(n)
+        assert hist.dtype == np.int64 and hist.size == n**3 // 6 + 2 and (hist >= 0).all()
+        assert int(hist.sum()) == n ** (n - 2)
+
+    @pytest.mark.parametrize("n", range(3, 18))
+    def test_tree_counts_of_stars_and_paths(self, n):
+        # the n labeled stars have the least W, (n-1)^2, and the n!/2 labeled paths the most, C(n+1, 3)
+        hist = wiener_counts(n)
+        star, path = (n - 1) ** 2, math.comb(n + 1, 3)
+        assert hist[star] == n and hist[path] == math.factorial(n) // 2
+        assert np.flatnonzero(hist)[[0, -1]].tolist() == [star, path]
+
+    def test_tree_counts_refuse_18_vertices(self):
+        with pytest.raises(ValueError, match="at most 17 vertices"):
+            wiener_counts(18)
+        with pytest.raises(ValueError, match="at most 17 vertices"):
+            scan_labeled_trees(labeled_trees(18), budget=18**16)
+
+    def test_tree_scan_decodes_the_first_rank_prefix(self, monkeypatch):
+        # at n = 9 the last value's first tree, W = 120, sits at rank 74,733, in block 4 of 292
+        starts = []
+
+        def counted(n, start, stop):
+            starts.append(start)
+            return wiener_block(n, start, stop)
+
+        monkeypatch.setattr(enum, "wiener_block", counted)
+        scan_labeled_trees(labeled_trees(9))
+        assert starts == [block * block_rows(9) for block in range(5)]
+
     def test_subset_scan_matches_bruteforce_extremes(self):
         table = complete_edge_table(6)
         vals = [
@@ -429,8 +485,8 @@ class TestBulkKernels:
         two = scan_subsets(connected_with_edges(6, 6), objective="max", top=2, jobs=2)
         assert one.checked == two.checked and one.connected == two.connected
         assert sorted(one.ranks) == sorted(two.ranks)
-        t_one = scan_labeled_trees(labeled_trees(6), jobs=1)
-        t_two = scan_labeled_trees(labeled_trees(6), jobs=2)
+        t_one = labeled_tree_scan(6, jobs=1)
+        t_two = labeled_tree_scan(6, jobs=2)
         assert (t_one.hist == t_two.hist).all()
         assert t_one.first_rank == t_two.first_rank
 
@@ -443,8 +499,8 @@ class TestBulkKernels:
 
     def test_tree_scan_same_at_any_jobs(self):
         # 8^6 = 262,144 trees in 16 blocks of 2^14; jobs 3 runs 5, 5 and 6 of them
-        one = scan_labeled_trees(labeled_trees(8), jobs=1)
-        three = scan_labeled_trees(labeled_trees(8), jobs=3)
+        one = labeled_tree_scan(8, jobs=1)
+        three = labeled_tree_scan(8, jobs=3)
         assert one.count == three.count == 8**6
         assert one.hist.tolist() == three.hist.tolist()
         assert one.first_rank == three.first_rank
@@ -468,11 +524,11 @@ class TestBulkKernels:
         class Context:
             Pool = InlinePool
 
-        monkeypatch.setattr(enum.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
         monkeypatch.setattr(enum.os, "sched_getaffinity", lambda pid: {0, 1})
-        many = scan_labeled_trees(labeled_trees(8), jobs=100000)
-        one = scan_labeled_trees(labeled_trees(8), jobs=1)
-        scan_labeled_trees(labeled_trees(6), jobs=2)  # one block runs inline
+        many = labeled_tree_scan(8, jobs=100000)
+        one = labeled_tree_scan(8, jobs=1)
+        labeled_tree_scan(6, jobs=2)  # one block runs inline
         assert sizes == [2]
         assert many.hist.tolist() == one.hist.tolist() and many.first_rank == one.first_rank
 
