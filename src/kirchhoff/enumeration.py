@@ -28,9 +28,9 @@ kernel solves only a block's connected rows (:func:`connected_rows`).  A
 ``connected-with-edges`` row's Kf comes from the inverse of its reduced
 Laplacian, by a Gauss-Jordan sweep across the block's rows-last Laplacian
 stack (:func:`batch_kf_sweep`), with no eigensolve; a ``deleted-edges`` row
-is eigensolved and counted once per distinct p x p Gram matrix of its p
-deleted edges in a block (:func:`gram_classes`, keyed from a per-n
-edge-pair table by :func:`gram_keys`).  Every p-edge set of K_n, n >= 2p,
+is eigensolved once per distinct p x p Gram matrix of its p deleted edges
+in a block (:func:`gram_classes`, keyed from a per-n edge-pair table by
+:func:`gram_keys`).  Every p-edge set of K_n, n >= 2p,
 falls into one exact class of :func:`deletion_classes`, with its labeled
 count and lowest-rank member, found by one inline scan at 2p vertices, so
 the deleted-edge verifiers scan no labeled space.  The tree scan
@@ -324,22 +324,21 @@ def batch_degrees(n: int, ends: np.ndarray) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=B * n).reshape(B, n)
 
 
-def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, dtype=float) -> np.ndarray:
-    """(B, n, n) Laplacians of the graphs a block's endpoints and degrees describe.
+def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """(B, n, n) Laplacians of the graphs whose edges a block's endpoints select, from their degrees.
 
-    ``deleted`` interprets the selected edges as removed from K_n rather
-    than as the edge set itself.  Off-diagonal zeros are -0.0, as -A gives:
-    LAPACK's Householder step reads the sign of zero, which reaches the last
-    bits of an eigenvalue.  The stack is stored rows-last: the result is a
-    view of an (n, n, B) array, ``L.transpose(1, 2, 0)``, in which each
-    entry of every row is one contiguous length-B vector (:func:`batch_kf_sweep`).
+    Off-diagonal zeros are -0.0, as -A gives: LAPACK's Householder step reads
+    the sign of zero, which reaches the last bits of an eigenvalue.  The
+    stack is stored rows-last: the result is a view of an (n, n, B) array,
+    ``L.transpose(1, 2, 0)``, in which each entry of every row is one
+    contiguous length-B vector (:func:`batch_kf_sweep`).
     """
     B = ends.shape[0]
     rows = np.arange(B)[:, None]
-    L = np.full((n, n, B), -1.0 if deleted else -0.0, dtype=dtype).transpose(2, 0, 1)
-    L[rows, ends[..., 0], ends[..., 1]] = L[rows, ends[..., 1], ends[..., 0]] = -0.0 if deleted else -1.0
+    L = np.full((n, n, B), -0.0).transpose(2, 0, 1)
+    L[rows, ends[..., 0], ends[..., 1]] = L[rows, ends[..., 1], ends[..., 0]] = -1.0
     diag = np.arange(n)
-    L[:, diag, diag] = n - 1 - deg if deleted else deg
+    L[:, diag, diag] = deg
     return L
 
 
@@ -381,27 +380,22 @@ def gram_classes(n: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
     return tuple(np.unique(key, return_index=True, return_inverse=True)[1:])
 
 
-def batch_eigenvalues(n: int, ends: np.ndarray, deleted: bool, classes=None) -> np.ndarray:
-    """Ascending Laplacian eigenvalues for each row of a block (see batch_laplacian).
+def batch_eigenvalues(n: int, ends: np.ndarray, classes=None) -> np.ndarray:
+    """Ascending Laplacian eigenvalues of K_n - H for each row of a block, H the
+    p edges the row's endpoints give.
 
-    Outside ``deleted`` mode the full Laplacian is eigensolved; scans take a
-    connected-with-edges row's Kf from :func:`batch_kf_sweep` instead, and
-    the tests keep this route as its oracle.
-
-    In ``deleted`` mode the spectrum comes from the p deleted edges H alone:
-    L(K_n - H) = nI - J - L(H), so it is 0, then n - lambda for each of
-    L(H)'s eigenvalues but one zero (Kelmans and Chelnokov, J. Combin.
-    Theory B 16, 1974).  L(H) = N^T N for H's oriented incidence matrix N,
-    whose p x p Gram matrix N N^T has the same nonzero eigenvalues, so for
-    0 < p < n the solve is p x p, for p >= n it is L(H) itself, and p = 0
-    needs none.  With :func:`gram_classes`, one N N^T per class is solved, and as eigvalsh
-    solves each matrix of a stack alone, every row gets the bits of a solve per row.
+    The spectrum comes from H alone: L(K_n - H) = nI - J - L(H), so it is 0,
+    then n - lambda for each of L(H)'s eigenvalues but one zero (Kelmans and
+    Chelnokov, J. Combin. Theory B 16, 1974).  L(H) = N^T N for H's oriented
+    incidence matrix N, whose p x p Gram matrix N N^T has the same nonzero
+    eigenvalues, so for 0 < p < n the solve is p x p, for p >= n it is L(H)
+    itself, and p = 0 needs none.  With :func:`gram_classes`, one N N^T per
+    class is solved, and as eigvalsh solves each matrix of a stack alone,
+    every row gets the bits of a solve per row.
     """
-    if not deleted:
-        return np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends), False))
     B, p = ends.shape[:2]
     if p >= n:
-        lam = np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends), False))[:, 1:]
+        lam = np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends)))[:, 1:]
     elif p:
         first, which = classes or (slice(None), slice(None))
         lam = np.linalg.eigvalsh(_edge_gram(ends[first]).astype(float))[which]
@@ -413,21 +407,16 @@ def batch_eigenvalues(n: int, ends: np.ndarray, deleted: bool, classes=None) -> 
     return eigs
 
 
-def batch_tree_counts(
-    n: int, ends: np.ndarray, deg: np.ndarray, deleted: bool, eigs: np.ndarray, classes=None
-) -> np.ndarray:
-    """Exact spanning-tree count of each row of a block: the determinant of its
-    reduced Laplacian (int64, or Python ints where int64 could overflow),
-    cross-checked on every row against its ascending eigenvalues ``eigs``.
-
-    With :func:`gram_classes`, the determinant runs once per class, as t = n^(n-2-p) det(nI - N N^T),
-    on the full minor of the class's first row, built from its edges, not N N^T: the cross-check
-    stays independent of the Gram route.  The Laplacian is int8 (degrees are at most 61), so only
-    the minor is a full-width integer copy.
+def batch_tree_counts(n: int, ends: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """Exact spanning-tree count of K_n - H for each row of a block, H the p edges
+    the row's endpoints give: the determinant of the reduced minor of
+    nI - J - L(H) (int64, or Python ints where int64 could overflow),
+    cross-checked on every row against its ascending eigenvalues ``eigs``
+    (:func:`batch_eigenvalues`).  The minor is built from H's edges, not from
+    N N^T, so the count stays independent of the Gram route.
     """
-    first, which = classes or (slice(None), slice(None))
-    minor = batch_laplacian(n, ends[first], deg[first], deleted, np.int8)[:, 1:, 1:]
-    counts = batch_determinant(minor)[which]
+    minor = n * np.eye(n - 1) - 1 - batch_laplacian(n, ends, batch_degrees(n, ends))[:, 1:, 1:]
+    counts = batch_determinant(minor)
     check_tree_counts(counts, np.prod(eigs[:, 1:], axis=1) / n)
     return counts
 
@@ -468,7 +457,7 @@ def batch_kf_sweep(n: int, ends: np.ndarray) -> np.ndarray:
     kf = np.empty(ends.shape[0])
     for start in range(0, ends.shape[0], SWEEP_ROWS):
         chunk = ends[start : start + SWEEP_ROWS]
-        X = batch_laplacian(n, chunk, batch_degrees(n, chunk), False).transpose(1, 2, 0)[1:, 1:]
+        X = batch_laplacian(n, chunk, batch_degrees(n, chunk)).transpose(1, 2, 0)[1:, 1:]
         _invert_rows_last(X)
         kf[start : start + SWEEP_ROWS] = n * np.einsum("iib->b", X) - X.sum(axis=(0, 1))
     return kf
@@ -744,7 +733,7 @@ def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
     idx = connected_rows(n, subs, deleted)
     ends = batch_ends(n, subs[idx])
     if deleted:
-        _, kf = batch_kf(n, batch_eigenvalues(n, ends, True, gram_classes(n, subs[idx])))
+        _, kf = batch_kf(n, batch_eigenvalues(n, ends, gram_classes(n, subs[idx])))
     else:
         kf = batch_kf_sweep(n, ends)
     if classify is None:
@@ -856,28 +845,21 @@ def _wiener_kernel(n, rank0, ranks) -> TreeScan:
     return TreeScan(W.size, hist, dict(zip(values.tolist(), (rank0 + first).tolist())))
 
 
-def _merge_histograms(parts: list[TreeScan]) -> TreeScan:
-    first_rank: dict[int, int] = {}
-    for part in parts:  # rank order: the first sighting has the lowest rank
-        for w, rank in part.first_rank.items():
-            first_rank.setdefault(w, rank)
-    return TreeScan(sum(p.count for p in parts), sum(p.hist for p in parts), first_rank)
-
-
 def scan_labeled_trees(spec: EnumerationSpec, budget: int = DEFAULT_BUDGET) -> TreeScan:
     """Exact Wiener histogram over all labeled trees, with first-rank witnesses.
 
     The histogram is counted (:func:`wiener_counts`); the lowest rank at each
     value comes from decoding blocks inline from rank 0 until every value has
-    been seen, the prefix that holds each value's first tree.  The labeled
-    scan, ``scan(spec, partial(_wiener_kernel, n), _merge_histograms)``,
-    gives the same result and is kept as the tests' oracle.
+    been seen, the prefix that holds each value's first tree.  A labeled
+    scan that runs :func:`_wiener_kernel` on every block and merges the
+    partials in rank order gives the same result; the tests keep it as the
+    oracle.
     """
     total = check_budget(spec, budget)
     hist = wiener_counts(spec.n)
     values = np.count_nonzero(hist)
     first_rank: dict[int, int] = {}
-    for rank0, ranks in _blocks(spec, 0, total):  # rank order, as in _merge_histograms
+    for rank0, ranks in _blocks(spec, 0, total):  # rank order: the first sighting has the lowest rank
         for w, rank in _wiener_kernel(spec.n, rank0, ranks).first_rank.items():
             first_rank.setdefault(w, rank)
         if len(first_rank) == values:

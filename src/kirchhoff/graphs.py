@@ -189,6 +189,15 @@ def merge_at(g1: Graph, x1: int, g2: Graph, x2: int) -> Graph:
     return make_graph(g1.n + g2.n - 1, edges)
 
 
+def _neighbours(bits: tuple[int, ...], frontier: int) -> int:
+    """The union of the neighbour bitmasks ``bits[v]`` of the vertices v in ``frontier``."""
+    nxt = 0
+    while frontier:
+        nxt |= bits[(frontier & -frontier).bit_length() - 1]
+        frontier &= frontier - 1
+    return nxt
+
+
 def shortest_paths(g: Graph, source: int) -> DistanceRow:
     """Breadth-first distances from ``source``; None marks other components."""
     if not 0 <= source < g.n:
@@ -201,13 +210,7 @@ def shortest_paths(g: Graph, source: int) -> DistanceRow:
     d = 0
     while frontier:
         d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= bits[v]
-        frontier = nxt & ~seen
+        frontier = _neighbours(bits, frontier) & ~seen
         seen |= frontier
         f = frontier
         while f:
@@ -240,13 +243,7 @@ def connected_components(g: Graph) -> int:
         comp = 1 << start
         frontier = comp
         while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= bits[v]
-            frontier = nxt & ~comp
+            frontier = _neighbours(bits, frontier) & ~comp
             comp |= frontier
         remaining &= ~comp
         count += 1

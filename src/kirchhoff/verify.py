@@ -515,8 +515,8 @@ def _bound_classes(report: VerificationReport, budget: int) -> list[DeletionClas
     classes = _deletion_classes(report, n, p)
     report.checked_count = sum(c.weight for c in classes)
     ends = np.stack([c.ends for c in classes])
-    eigs = enum.batch_eigenvalues(n, ends, True)
-    counts = enum.batch_tree_counts(n, ends, enum.batch_degrees(n, ends), True, eigs)
+    eigs = enum.batch_eigenvalues(n, ends)
+    counts = enum.batch_tree_counts(n, ends, eigs)
     _, kf = enum.batch_kf(n, eigs)
     for c, count, value in zip(classes, counts.tolist(), kf):
         if count != c.t or not tied(value, float(c.kf)):

@@ -69,11 +69,12 @@ def deletion_block(spec, subs):
     n = spec.n
     idx = enum.connected_rows(n, subs, True)
     ends = enum.batch_ends(n, subs[idx])
-    deg = enum.batch_degrees(n, ends)
     classes = enum.gram_classes(n, subs[idx])
-    eigs = enum.batch_eigenvalues(n, ends, True, classes)
+    eigs = enum.batch_eigenvalues(n, ends, classes)
     _, kf = enum.batch_kf(n, eigs)
-    return idx, kf, enum.batch_tree_counts(n, ends, deg, True, eigs, classes), deg.max(axis=1)
+    first, which = classes or (slice(None), slice(None))
+    t = enum.batch_tree_counts(n, ends[first], eigs[first])[which]
+    return idx, kf, t, enum.batch_degrees(n, ends).max(axis=1)
 
 
 def distinct_pairs(n, delta, t):

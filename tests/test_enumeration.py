@@ -80,9 +80,18 @@ def block_extent(rank0, rows):
     return rank0, len(rows)
 
 
+def merge_histograms(parts):
+    """One TreeScan from rank-ordered block partials: summed histograms, first ranks."""
+    first_rank = {}
+    for part in parts:  # rank order: the first sighting has the lowest rank
+        for w, rank in part.first_rank.items():
+            first_rank.setdefault(w, rank)
+    return enum.TreeScan(sum(p.count for p in parts), sum(p.hist for p in parts), first_rank)
+
+
 def labeled_tree_scan(n, jobs=1):
     """The labeled tree scan scan_labeled_trees replaced: every tree decoded, at ``jobs``."""
-    return enum.scan(labeled_trees(n), partial(enum._wiener_kernel, n), enum._merge_histograms, jobs)
+    return enum.scan(labeled_trees(n), partial(enum._wiener_kernel, n), merge_histograms, jobs)
 
 
 # Wiener index -> (labeled trees on 9 vertices, lowest rank), from the row-by-row decoder
@@ -380,7 +389,7 @@ class TestBulkKernels:
         table = complete_edge_table(6)
         subs = np.array(list(combinations(range(15), 2))[:40], dtype=np.int64)
         ends = batch_ends(6, subs)
-        eigs = batch_eigenvalues(6, ends, True, gram_classes(6, subs))
+        eigs = batch_eigenvalues(6, ends, gram_classes(6, subs))
         conn, kf = batch_kf(6, eigs)
         for row in range(40):
             g = make_graph(6, set(table) - {table[i] for i in subs[row]})
@@ -388,21 +397,17 @@ class TestBulkKernels:
             if conn[row]:
                 assert abs(kf[row] - kf_spectral(g)) < 1e-9
 
-    @pytest.mark.parametrize("n,k,deleted", [(6, 6, False), (7, 8, False)])
-    def test_batch_eigenvalues_bitwise_as_negated_adjacency(self, n, k, deleted):
+    @pytest.mark.parametrize("n,k", [(6, 6), (7, 8)])
+    def test_batch_laplacian_bitwise_as_negated_adjacency(self, n, k):
         # reference assembly: L = -A with the degrees on the diagonal, so every
         # off-diagonal zero is -0.0; LAPACK reads that sign into Kf's last bits.
-        # Deleted rows solve a smaller matrix: see TestDeletedSpectrum.
         subs = np.array(list(islice(combinations(range(n * (n - 1) // 2), k), 6000)), dtype=np.int64)
         A = batch_adjacency(n, subs, float)
-        if deleted:
-            A = (1.0 - np.eye(n)) - A
         deg = A.sum(axis=2)
         L = -A
         L[:, range(n), range(n)] = deg
         reference = np.linalg.eigvalsh(L)
-        ends = batch_ends(n, subs)
-        eigs = batch_eigenvalues(n, ends, deleted)
+        eigs = _full_spectrum(n, batch_ends(n, subs))
         assert (eigs.view(np.int64) == reference.view(np.int64)).all()
 
     def test_wiener_scan_matches_streamed_trees(self):
@@ -543,9 +548,14 @@ class TestBulkKernels:
         assert abs(vals6.max() - kf_spectral(make_graph(6, [(i, (i + 1) % 6) for i in range(6)]))) < 1e-9
 
 
+def _full_spectrum(n, ends):
+    """Ascending eigenvalues of each row's full n x n Laplacian, the sweep's oracle."""
+    return np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends)))
+
+
 def _eigvalsh_kf(n, ends):
     """The route the sweep replaced: Kf from each connected row's full Laplacian spectrum."""
-    return batch_kf(n, batch_eigenvalues(n, ends, False))[1]
+    return batch_kf(n, _full_spectrum(n, ends))[1]
 
 
 def _connected_ends(n, m):
@@ -616,7 +626,7 @@ def _full_deleted_spectrum(n, subs):
 
 
 def _deleted_eigenvalues(n, subs):
-    return batch_eigenvalues(n, batch_ends(n, subs), True, gram_classes(n, subs))
+    return batch_eigenvalues(n, batch_ends(n, subs), gram_classes(n, subs))
 
 
 def _all_subsets(n, p):
@@ -704,16 +714,23 @@ def _per_row_gram_spectrum(n, subs):
 
 
 def _grouped_counts(n, subs):
+    """One count per Gram class, on its first row, as labeled_bounds.deletion_block takes them."""
     ends = batch_ends(n, subs)
-    deg = batch_degrees(n, ends)
-    classes = gram_classes(n, subs)
-    return batch_tree_counts(n, ends, deg, True, batch_eigenvalues(n, ends, True, classes), classes)
+    first, which = gram_classes(n, subs)
+    eigs = batch_eigenvalues(n, ends, (first, which))
+    return batch_tree_counts(n, ends[first], eigs[first])[which]
 
 
 def _per_row_counts(n, subs):
-    """Bareiss on each row's own full (n-1)-minor of L(K_n - H)."""
+    """Bareiss on each row's own full (n-1)-minor of L(K_n - H), assembled as
+    batch_tree_counts once did: an int8 K_n Laplacian with H's edges zeroed
+    and n - 1 - deg_H on the diagonal."""
     ends = batch_ends(n, subs)
-    return batch_determinant(batch_laplacian(n, ends, batch_degrees(n, ends), True, np.int8)[:, 1:, 1:])
+    rows = np.arange(subs.shape[0])[:, None]
+    L = np.full((subs.shape[0], n, n), -1, dtype=np.int8)
+    L[rows, ends[..., 0], ends[..., 1]] = L[rows, ends[..., 1], ends[..., 0]] = 0
+    L[:, range(n), range(n)] = n - 1 - batch_degrees(n, ends)
+    return batch_determinant(L[:, 1:, 1:])
 
 
 def _repeated_rows(n, max_p, min_p=1):
@@ -767,6 +784,14 @@ class TestGramClasses:
     def test_every_row_counts_as_its_own_minor(self, n, p):
         subs = _all_subsets(n, p)
         assert _grouped_counts(n, subs).tolist() == _per_row_counts(n, subs).tolist()
+
+    @pytest.mark.parametrize("n,p", COUNT_SPACES)
+    def test_every_row_counts_as_the_int8_deleted_minor(self, n, p):
+        # batch_tree_counts on every row, no classes: the minor of nI - J - L(H)
+        subs = _all_subsets(n, p)
+        ends = batch_ends(n, subs)
+        counts = batch_tree_counts(n, ends, batch_eigenvalues(n, ends))
+        assert counts.tolist() == _per_row_counts(n, subs).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 21).flatmap(lambda n: _repeated_rows(n, 9, 0)))

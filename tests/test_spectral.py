@@ -222,7 +222,8 @@ def _reduced_laplacians(n, p, count, seed=0):
     m = n * (n - 1) // 2
     subs = np.sort(np.array([rng.choice(m, p, replace=False) for _ in range(count)]), axis=1)
     ends = batch_ends(n, subs)
-    return batch_laplacian(n, ends, batch_degrees(n, ends), True, np.int8)[:, 1:, 1:]
+    minors = n * np.eye(n - 1) - 1 - batch_laplacian(n, ends, batch_degrees(n, ends))[:, 1:, 1:]
+    return minors.astype(np.int8)  # nI - J - L(H), reduced
 
 
 class TestBatchDeterminant:
@@ -374,8 +375,19 @@ class TestZeroThreshold:
 
 
 def _eigenvalues(n, subs, deleted):
+    """K_n minus each row's edges by the Gram route if ``deleted``, else the full
+    Laplacian of each row's edges."""
     ends = batch_ends(n, subs)
-    return batch_eigenvalues(n, ends, deleted, gram_classes(n, subs) if deleted else None)
+    if deleted:
+        return batch_eigenvalues(n, ends, gram_classes(n, subs))
+    return np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends)))
+
+
+def _complement_rows(n, subs):
+    """Each row's complement in E(K_n): the edges whose deletion leaves the row's graph."""
+    keep = np.ones((subs.shape[0], n * (n - 1) // 2), dtype=bool)
+    keep[np.arange(subs.shape[0])[:, None], subs] = False
+    return np.nonzero(keep)[1].reshape(subs.shape[0], -1)
 
 
 def _subset_rows(n):
@@ -418,10 +430,9 @@ class TestBatchConnectivity:
         subs = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))
         table = complete_edge_table(n)
         graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
-        ends = batch_ends(n, subs)
-        deg = batch_degrees(n, ends)
-        classes = gram_classes(n, subs) if deleted else None
-        counts = batch_tree_counts(n, ends, deg, deleted, batch_eigenvalues(n, ends, deleted, classes), classes)
+        deleted_rows = subs if deleted else _complement_rows(n, subs)
+        ends = batch_ends(n, deleted_rows)
+        counts = batch_tree_counts(n, ends, batch_eigenvalues(n, ends, gram_classes(n, deleted_rows)))
         assert [int(t) for t in counts] == [tree_count(g) for g in graphs]
         assert [bool(t) for t in counts] == [is_connected(g) for g in graphs]
 
