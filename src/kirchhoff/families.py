@@ -15,10 +15,16 @@ deterministic and graph6 output is reproducible:
   labels of K_n; the nine patterns of g1..g9 are ``GI_PATTERNS``.
 
 ``NAMED_FAMILIES`` is the one table of the families the paper names, by
-report label, for the ordering verifiers and the ``table`` command.
+report label, for the ordering verifiers and the ``table`` command: each
+family's member at n and, for the eleven whose Kf is a cubic
+(n^3 + a n + b)/6, its (a, b).
 
 The closed-form Kirchhoff catalog is a ground-truth table of exact
-rationals.  Every entry follows from the cut-vertex decomposition
+rationals.  Cycles, complete graphs, lollipops, K_n minus a matching or a
+star and g1..g9 carry their own formulas; any other spec takes the cubic of
+the named family whose member at n it is, read from either end for the
+two-ended tripath and double-branch kinds.  Every entry follows from the
+cut-vertex decomposition
 Kf(G) = Kf(G1) + Kf(G2) + (n1-1) Kf_x(G2) + (n2-1) Kf_x(G1) or from the
 spectrum, and every entry is pinned against the numeric engine by the
 regression tests; kinds without a catalogued form return None rather than
@@ -195,6 +201,8 @@ def validate(spec: FamilySpec) -> None:
             raise _fail(spec, "dumbbell linking path needs length >= 1")
     elif kind == "kn-minus-matching":
         n, p = _ints(spec, 2)
+        if n < 3:
+            raise _fail(spec, "kn-minus-matching needs n >= 3 (connectivity)")
         if not 1 <= p <= n // 2:
             raise _fail(spec, "matching size must satisfy 1 <= p <= n/2")
     elif kind == "kn-minus-star":
@@ -302,10 +310,6 @@ def build(spec: FamilySpec) -> Graph:
     raise _fail(spec, f"unknown family kind {kind!r}")
 
 
-def _kf_path(n: int) -> Fraction:
-    return Fraction(n**3 - n, 6)
-
-
 def _kf_cycle(n: int) -> Fraction:
     return Fraction(n**3 - n, 12)
 
@@ -327,58 +331,31 @@ def _kf_kn_minus_star(n: int, p: int) -> Fraction:
     return Fraction(n - p - 1) + Fraction(n * (p - 1), n - 1) + Fraction(n, n - p - 1)
 
 
-def _cubic(n: int, linear: int, constant: int) -> Fraction:
-    return Fraction(n**3 + linear * n + constant, 6)
-
-
-# The triangle-with-pendants kinds, each with Kf = (n^3 + linear n + constant)/6.
-_CUBICS = {"q3": (-17, 36), "r3": (-23, 66), "cq3": (-25, 68)}
+def _read_backwards(spec: FamilySpec) -> FamilySpec:
+    """The same graph with its two ends swapped, for the kinds that have two ends."""
+    if spec.kind == "tripath":
+        n, ks = spec.args
+        return FamilySpec("tripath", (n, ks[::-1]))
+    if spec.kind == "doublebranch":
+        n, ps, qs = spec.args
+        return FamilySpec("doublebranch", (n, qs, ps))
+    return spec
 
 
 def closed_form_kf(spec: FamilySpec) -> Fraction | None:
-    """Exact Kirchhoff index from the catalog, or None when uncatalogued."""
+    """Exact Kirchhoff index from the catalog, or None when uncatalogued.
+
+    Kinds with a free parameter or no cubic carry their own formula; any other
+    spec takes the cubic of the named family whose member at n it is.
+    """
     validate(spec)
     kind = spec.kind
-    if kind == "path":
-        return _kf_path(spec.args[0])
     if kind == "cycle":
         return _kf_cycle(spec.args[0])
     if kind == "complete":
         return Fraction(spec.args[0] - 1)
     if kind == "lollipop":
         return _kf_lollipop(*spec.args)
-    if kind in _CUBICS:
-        return _cubic(spec.args[0], *_CUBICS[kind])
-    if kind == "starlike":
-        n, branches = spec.args
-        key = tuple(sorted(branches, reverse=True))
-        for pattern, (lin, const) in (
-            ((n - 4, 2, 1), (-13, 48)),
-            ((n - 5, 3, 1), (-19, 90)),
-            ((n - 6, 4, 1), (-25, 144)),
-        ):
-            if min(pattern) >= 1 and key == tuple(sorted(pattern, reverse=True)):
-                return _cubic(n, lin, const)
-        return None
-    if kind == "doublebranch":
-        n, ps, qs = spec.args
-        tails = {tuple(sorted(ps)), tuple(sorted(qs))}
-        if tails == {(1, 1), (1, 2)} and n - 2 - sum(ps) - sum(qs) >= 1:
-            return _cubic(n, -19, 66)
-        return None
-    if kind == "tripath":
-        n, ks = spec.args
-        key = tuple(sorted(ks))
-        if n - 4 >= 1 and key == tuple(sorted((1, n - 4))):
-            return _cubic(n, -19, 50)
-        if n - 5 >= 2 and key == tuple(sorted((2, n - 5))):
-            return _cubic(n, -27, 98)
-        return None
-    if kind == "dumbbell":
-        p, q, l = spec.args
-        if p == 3 and q == 3:
-            return _cubic(l + 5, -21, 36)
-        return None
     if kind == "kn-minus-matching":
         return _kf_kn_minus_matching(*spec.args)
     if kind == "kn-minus-star":
@@ -393,6 +370,12 @@ def closed_form_kf(spec: FamilySpec) -> Fraction | None:
         if shape == "star":
             return _kf_kn_minus_star(n, size)
         return None
+    n = sum(spec.args) - 1 if kind == "dumbbell" else spec.args[0]
+    readings = (spec, _read_backwards(spec))
+    for family in NAMED_FAMILIES.values():
+        if family.cubic and family.spec(n) in readings:
+            a, b = family.cubic
+            return Fraction(n**3 + a * n + b, 6)
     return None
 
 
@@ -469,6 +452,7 @@ def parse_family(text: str) -> FamilySpec:
 class NamedFamily(NamedTuple):
     table: str | None
     spec: Callable[[int], FamilySpec]
+    cubic: tuple[int, int] | None = None  # (a, b) when Kf = (n^3 + a n + b)/6
 
 
 def _starlike(n: int, *branches: int) -> FamilySpec:
@@ -476,26 +460,27 @@ def _starlike(n: int, *branches: int) -> FamilySpec:
 
 
 # Every named family, by report label, with its ``table`` command name (None
-# when the command does not sweep it) and its member at n.  The tree and
-# max-ordering chains and the table command all read this one table.
+# when the command does not sweep it), its member at n and its cubic, if any.
+# The tree and max-ordering chains, the table command and the catalog all read
+# this one table.
 NAMED_FAMILIES: dict[str, NamedFamily] = {
-    "path": NamedFamily("path", lambda n: FamilySpec("path", (n,))),
+    "path": NamedFamily("path", lambda n: FamilySpec("path", (n,)), (-1, 0)),
     "T(n-3,1,1)": NamedFamily(None, lambda n: _starlike(n, n - 3, 1, 1)),
-    "T(n-4,2,1)": NamedFamily("t421", lambda n: _starlike(n, n - 4, 2, 1)),
+    "T(n-4,2,1)": NamedFamily("t421", lambda n: _starlike(n, n - 4, 2, 1), (-13, 48)),
     "T(1,1;1,1)": NamedFamily(None, lambda n: FamilySpec("doublebranch", (n, (1, 1), (1, 1)))),
-    "T(n-5,3,1)": NamedFamily("t531", lambda n: _starlike(n, n - 5, 3, 1)),
+    "T(n-5,3,1)": NamedFamily("t531", lambda n: _starlike(n, n - 5, 3, 1), (-19, 90)),
     "T(n-4,1,1,1)": NamedFamily(None, lambda n: _starlike(n, n - 4, 1, 1, 1)),
-    "T(1,1;2,1)": NamedFamily("b1221", lambda n: FamilySpec("doublebranch", (n, (1, 1), (2, 1)))),
-    "T(n-6,4,1)": NamedFamily("t641", lambda n: _starlike(n, n - 6, 4, 1)),
+    "T(1,1;2,1)": NamedFamily("b1221", lambda n: FamilySpec("doublebranch", (n, (1, 1), (2, 1))), (-19, 66)),
+    "T(n-6,4,1)": NamedFamily("t641", lambda n: _starlike(n, n - 6, 4, 1), (-25, 144)),
     "P3-lollipop": NamedFamily("p3", lambda n: FamilySpec("lollipop", (n, 3))),
-    "Q3": NamedFamily("q3", lambda n: FamilySpec("q3", (n,))),
-    "C33-dumbbell": NamedFamily("c33", lambda n: FamilySpec("dumbbell", (3, 3, n - 5))),
-    "R3": NamedFamily("r3", lambda n: FamilySpec("r3", (n,))),
+    "Q3": NamedFamily("q3", lambda n: FamilySpec("q3", (n,)), (-17, 36)),
+    "C33-dumbbell": NamedFamily("c33", lambda n: FamilySpec("dumbbell", (3, 3, n - 5)), (-21, 36)),
+    "R3": NamedFamily("r3", lambda n: FamilySpec("r3", (n,)), (-23, 66)),
     "P4-lollipop": NamedFamily("p4", lambda n: FamilySpec("lollipop", (n, 4))),
     "P5-lollipop": NamedFamily("p5", lambda n: FamilySpec("lollipop", (n, 5))),
     "cycle": NamedFamily("cycle", lambda n: FamilySpec("cycle", (n,))),
     "complete": NamedFamily("complete", lambda n: FamilySpec("complete", (n,))),
-    "C3(1,n-4)": NamedFamily("c31", lambda n: FamilySpec("tripath", (n, (1, n - 4)))),
-    "C3(2,n-5)": NamedFamily("c32", lambda n: FamilySpec("tripath", (n, (2, n - 5)))),
-    "CQ3": NamedFamily(None, lambda n: FamilySpec("cq3", (n,))),
+    "C3(1,n-4)": NamedFamily("c31", lambda n: FamilySpec("tripath", (n, (1, n - 4))), (-19, 50)),
+    "C3(2,n-5)": NamedFamily("c32", lambda n: FamilySpec("tripath", (n, (2, n - 5))), (-27, 98)),
+    "CQ3": NamedFamily(None, lambda n: FamilySpec("cq3", (n,)), (-25, 68)),
 }

@@ -488,7 +488,15 @@ def _deletion_values(n: int, p: int, q: tuple[int, ...]) -> tuple[Fraction, int]
 
 def _deletion_classes(report: VerificationReport, n: int, p: int) -> list[DeletionClass]:
     """Every labeled K_n minus p edges as exact classes, in the rank order of their
-    representatives; a failure when the weights miss the C(C(n,2), p) labeled graphs."""
+    representatives; a failure when the weights miss the C(C(n,2), p) labeled graphs.
+    Refused before any scan past p = 6, where the class scan of ``deleted_edges(2p, p)``
+    passes the default budget; no verdict's budget raises that limit."""
+    rows = cardinality(enum.deleted_edges(max(2, 2 * p), p))
+    if rows > enum.DEFAULT_BUDGET:
+        raise ParamOutOfRangeError(
+            f"deletion classes are built only up to p = 6, from the scan of the 2p-vertex space "
+            f"({rows} rows at p = {p}); --budget does not raise that limit"
+        )
     classes = [
         DeletionClass(*_deletion_values(n, p, q), v, dmax, math.comb(n, v) * q_v, ends)
         for (q, v, dmax), (q_v, ends) in enum.deletion_classes(p).items()
@@ -701,10 +709,9 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
     report = VerificationReport("tree-ordering", {"n": n})
     graphs = [(label, build(NAMED_FAMILIES[label].spec(n))) for label in _TREE_CHAIN]
     w_vals = [wiener(g) for _, g in graphs]
-    for i, ((label, g), w) in enumerate(zip(graphs, w_vals), start=1):
-        report.extremal_witnesses.append(
-            Witness(i, graph6_encode(g), float(w), labeled_copy_count(g))
-        )
+    copies = [labeled_copy_count(g) for _, g in graphs]
+    for i, ((_, g), w, count) in enumerate(zip(graphs, w_vals, copies), start=1):
+        report.extremal_witnesses.append(Witness(i, graph6_encode(g), float(w), count))
     # the one stated tie, exact through integer Wiener
     if w_vals[5] != w_vals[6]:
         report.fail(
@@ -738,12 +745,12 @@ def _verify_tree_ordering(params, budget, jobs) -> VerificationReport:
         cutoff = w_vals[7]
         named_hist: dict[int, int] = {}
         seen: dict[str, int] = {}
-        for (_, g), w in zip(graphs, w_vals):
+        for (_, g), w, count in zip(graphs, w_vals, copies):
             key = graph6_encode(g)
             if key in seen:
                 continue
             seen[key] = w
-            named_hist[w] = named_hist.get(w, 0) + labeled_copy_count(g)
+            named_hist[w] = named_hist.get(w, 0) + count
         for w in range(cutoff, len(scan.hist)):
             observed = int(scan.hist[w])
             expected = named_hist.get(w, 0)

@@ -38,6 +38,12 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--graph6", "C~", "--family", "path:4", "--kf")
         assert code == 2 and "exactly one" in err
 
+    def test_disconnected_family_member_exit_two(self, capsys):
+        # K_2 minus its one edge: refused by the family check, before any build
+        code, out, err = run(capsys, "compute", "--family", "kn-minus-matching:2,1", "--kf")
+        assert code == 2 and out == ""
+        assert err == "error: kn-minus-matching:2,1: kn-minus-matching needs n >= 3 (connectivity)\n"
+
     def test_parse_error_location(self, capsys):
         code, _, err = run(capsys, "compute", "--graph6", "C\x01", "--kf")
         assert code == 2 and "byte offset 1" in err
@@ -93,6 +99,23 @@ class TestVerifyCommand:
             capsys, "verify", "--theorem", "lower-bound", "--n", "40", "--p", "20"
         )
         assert code == 2 and "budget" in err
+
+    def test_class_table_past_p6_exit_two(self, capsys, monkeypatch):
+        # deleted_edges(14, 7) has 8,093,990,190 rows: no budget lets the class scan run
+        import kirchhoff.verify as verify
+
+        def unreachable(p):
+            raise AssertionError("class scan started")
+
+        monkeypatch.setattr(verify.enum, "deletion_classes", unreachable)
+        code, out, err = run(
+            capsys, "verify", "--theorem", "upper-bound", "--n", "14", "--p", "7", "--budget", "100000000000"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: deletion classes are built only up to p = 6, from the scan of the 2p-vertex space "
+            "(8093990190 rows at p = 7); --budget does not raise that limit\n"
+        )
 
     def test_param_error_exit_two(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "lower-bound", "--n", "6")

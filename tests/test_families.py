@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,126 @@ class TestClosedFormKf:
 
     def test_tripath_order_insensitive(self):
         assert kf_exact("tripath", 9, (1, 5)) == kf_exact("tripath", 9, (5, 1))
+
+    def test_matching_family_needs_three_vertices(self):
+        # K_2 minus its one edge is disconnected
+        with pytest.raises(FamilyParameterError):
+            kf_exact("kn-minus-matching", 2, 1)
+        assert kf_exact("kn-minus-matching", 3, 1) == kf_exact("path", 3)
+
+    def test_cubics_sit_in_the_named_table(self):
+        cubic = {label: f.cubic for label, f in families.NAMED_FAMILIES.items() if f.cubic}
+        assert cubic == {
+            "path": (-1, 0), "T(n-4,2,1)": (-13, 48), "T(1,1;2,1)": (-19, 66), "T(n-5,3,1)": (-19, 90),
+            "T(n-6,4,1)": (-25, 144), "Q3": (-17, 36), "C33-dumbbell": (-21, 36), "R3": (-23, 66),
+            "C3(1,n-4)": (-19, 50), "C3(2,n-5)": (-27, 98), "CQ3": (-25, 68),
+        }
+        for label in ("T(n-3,1,1)", "T(1,1;1,1)", "T(n-4,1,1,1)", "P3-lollipop", "cycle", "complete"):
+            assert families.NAMED_FAMILIES[label].cubic is None
+
+
+def _pattern_kf(spec):
+    """The catalog as it recognised the cubic families by patterns in their arguments,
+    kept as the reference for the lookup in NAMED_FAMILIES."""
+
+    def cubic(n, linear, constant):
+        return Fraction(n**3 + linear * n + constant, 6)
+
+    kind = spec.kind
+    if kind == "path":
+        return Fraction(spec.args[0] ** 3 - spec.args[0], 6)
+    cubics = {"q3": (-17, 36), "r3": (-23, 66), "cq3": (-25, 68)}
+    if kind in cubics:
+        return cubic(spec.args[0], *cubics[kind])
+    if kind == "starlike":
+        n, branches = spec.args
+        key = tuple(sorted(branches, reverse=True))
+        for pattern, (lin, const) in (
+            ((n - 4, 2, 1), (-13, 48)),
+            ((n - 5, 3, 1), (-19, 90)),
+            ((n - 6, 4, 1), (-25, 144)),
+        ):
+            if min(pattern) >= 1 and key == tuple(sorted(pattern, reverse=True)):
+                return cubic(n, lin, const)
+        return None
+    if kind == "doublebranch":
+        n, ps, qs = spec.args
+        tails = {tuple(sorted(ps)), tuple(sorted(qs))}
+        if tails == {(1, 1), (1, 2)} and n - 2 - sum(ps) - sum(qs) >= 1:
+            return cubic(n, -19, 66)
+        return None
+    if kind == "tripath":
+        n, ks = spec.args
+        key = tuple(sorted(ks))
+        if n - 4 >= 1 and key == tuple(sorted((1, n - 4))):
+            return cubic(n, -19, 50)
+        if n - 5 >= 2 and key == tuple(sorted((2, n - 5))):
+            return cubic(n, -27, 98)
+        return None
+    if kind == "dumbbell":
+        p, q, l = spec.args
+        if p == 3 and q == 3:
+            return cubic(l + 5, -21, 36)
+        return None
+    raise AssertionError(kind)
+
+
+def _tails(total, parts, largest):
+    """Non-increasing tuples of ``parts`` positive integers at most ``largest`` summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _tails(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _valid(specs):
+    for spec in specs:
+        try:
+            families.validate(spec)
+        except FamilyParameterError:
+            continue
+        yield spec
+
+
+def _cubic_kind_specs(top=30):
+    """Every valid spec of the kinds the pattern catalog read, n <= top, both orders of the
+    two-ended kinds.  Double-branch trees number 2.5 million at n <= 30, so they are taken
+    whole for n <= 16 and, above, with two or three tails of length <= 3 on each side."""
+    for n in range(1, top + 1):
+        yield from (FamilySpec(kind, (n,)) for kind in ("path", "q3", "r3", "cq3"))
+        for parts in range(3, n):
+            yield from (FamilySpec("starlike", (n, b)) for b in _tails(n - 1, parts, n))
+        yield from (FamilySpec("tripath", (n, (k, n - 3 - k))) for k in range(1, n - 3))
+        for l in range(1, n - 5):
+            yield from (FamilySpec("dumbbell", (p, n + 1 - l - p, l)) for p in range(3, n - l - 1))
+        sides = {
+            total: [t for parts in range(2, total + 1) if n <= 16 or parts <= 3
+                    for t in _tails(total, parts, n if n <= 16 else 3)]
+            for total in range(2, n - 4)
+        }
+        for first, second in itertools.product(sides, repeat=2):
+            if first + second <= n - 3:
+                for ps, qs in itertools.product(sides[first], sides[second]):
+                    yield FamilySpec("doublebranch", (n, ps, qs))
+
+
+class TestCatalogLookup:
+    def test_lookup_equals_the_pattern_catalog(self):
+        specs = list(_valid(_cubic_kind_specs()))
+        kinds = {spec.kind for spec in specs}
+        assert kinds == {"path", "q3", "r3", "cq3", "starlike", "tripath", "dumbbell", "doublebranch"}
+        found = 0
+        for spec in specs:
+            want = _pattern_kf(spec)
+            assert closed_form_kf(spec) == want, spec
+            found += want is not None
+        # both readings of C3(1,n-4), C3(2,n-5) and T(1,1;2,1) are among the hits
+        assert FamilySpec("tripath", (20, (16, 1))) in specs and kf_exact("tripath", 20, (16, 1)) is not None
+        assert kf_exact("doublebranch", 20, (2, 1), (1, 1)) == kf_exact("doublebranch", 20, (1, 1), (2, 1))
+        assert found == 319
 
 
 class TestClosedFormSpectrum:

@@ -458,6 +458,21 @@ class TestVerifyTheorem:
         assert [ce for ce in rep.counterexamples if "C3(1,n-4)" in ce.observed]
         assert len([ce for ce in rep.counterexamples if "C3(1,n-4)" not in ce.observed]) == 0
 
+    def test_tree_ordering_counts_each_named_tree_once(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(graph6_encode(g))
+            return labeled_copy_count(g)
+
+        monkeypatch.setattr(verify, "labeled_copy_count", counted)
+        rep = verify_theorem("tree-ordering", {"n": 9})
+        # eight named trees, seven shapes: T(n-5,3,1) and T(n-6,4,1) are one tree at n = 9
+        assert len(calls) == 8 and len(set(calls)) == 7
+        trees = [build(verify.NAMED_FAMILIES[label].spec(9)) for label in verify._TREE_CHAIN]
+        assert [w.count for w in rep.extremal_witnesses] == [labeled_copy_count(g) for g in trees]
+        assert rep.status == "FAIL"
+
     def test_budget_refusal(self):
         from kirchhoff.enumeration import BudgetExceededError
 
