@@ -23,14 +23,17 @@ the first n-2-L decoding steps depend only on a rank's prefix and the set
 of its last L digits (:func:`tail_length`), so they run once per such
 class, and the last L+1 steps run per rank from tables that repeat with
 period n^L.  Every space is
-walked in blocks of up to 2^14 rows (:func:`block_rows`); the subset Kf
-kernel solves only a block's connected rows (:func:`connected_rows`).  A
-``connected-with-edges`` row's Kf comes from the inverse of its reduced
-Laplacian, by a Gauss-Jordan sweep across the block's rows-last Laplacian
-stack (:func:`batch_kf_sweep`), with no eigensolve; a ``deleted-edges`` row
-is eigensolved once per distinct p x p Gram matrix of its p deleted edges
-in a block (:func:`gram_classes`, keyed from a per-n edge-pair table by
-:func:`gram_keys`).  Every p-edge set of K_n, n >= 2p,
+walked in blocks of up to 2^14 rows (:func:`block_rows`).  A block's
+connected ``connected-with-edges`` rows (:func:`batch_connected`) take Kf
+from the inverse of their reduced Laplacian, by a Gauss-Jordan sweep
+across the block's rows-last Laplacian stack (:func:`batch_kf_sweep`),
+with no eigensolve.  K_n is (n-1)-edge-connected, so every
+``deleted-edges`` row with p <= n - 2 is connected; it is eigensolved once
+per distinct p x p Gram matrix of its p deleted edges in a block
+(:func:`gram_classes`, keyed from a per-n edge-pair table by
+:func:`gram_keys`), and a space with p >= n - 1 scans as the
+``connected-with-edges`` space of its complements (:func:`scan_subsets`).
+Every p-edge set of K_n, n >= 2p,
 falls into one exact class of :func:`deletion_classes`, with its labeled
 count and lowest-rank member, found by one inline scan at 2p vertices, so
 the deleted-edge verifiers scan no labeled space.  The tree scan
@@ -283,8 +286,9 @@ def _edge_bits(n: int) -> np.ndarray:
     return bits
 
 
-def batch_connected(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
-    """Exact connectivity of each subset row's graph (n <= 62, one int64 bitmask per vertex).
+def batch_connected(n: int, subsets: np.ndarray) -> np.ndarray:
+    """Exact connectivity of the graph of the edges each subset row selects (n <= 62,
+    one int64 bitmask per vertex).
 
     The set reached from vertex 0 grows by the neighbours of its members,
     one sweep over the vertices at a time, until no row changes.
@@ -293,8 +297,6 @@ def batch_connected(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
     masks = np.zeros((n, subsets.shape[0]), dtype=np.int64)
     for column in subsets.T:  # one (n, B) gather per subset slot
         masks += bits[:, column]
-    if deleted:
-        np.subtract(bits.sum(axis=1)[:, None], masks, out=masks)
     reach = np.ones(subsets.shape[0], dtype=np.int64)
     while True:
         before = reach.copy()
@@ -302,13 +304,6 @@ def batch_connected(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
             reach |= masks[v] & -((reach >> v) & 1)
         if np.array_equal(before, reach):
             return reach == (1 << n) - 1
-
-
-def connected_rows(n: int, subsets: np.ndarray, deleted: bool) -> np.ndarray:
-    """A block's connected rows: every row when at most n - 2 edges are deleted (K_n is (n-1)-edge-connected)."""
-    if deleted and subsets.shape[1] <= n - 2:
-        return np.arange(subsets.shape[0])
-    return np.flatnonzero(batch_connected(n, subsets, deleted))
 
 
 def batch_ends(n: int, subsets: np.ndarray) -> np.ndarray:
@@ -382,21 +377,21 @@ def gram_classes(n: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
 
 def batch_eigenvalues(n: int, ends: np.ndarray, classes=None) -> np.ndarray:
     """Ascending Laplacian eigenvalues of K_n - H for each row of a block, H the
-    p edges the row's endpoints give.
+    p < n edges the row's endpoints give.
 
     The spectrum comes from H alone: L(K_n - H) = nI - J - L(H), so it is 0,
     then n - lambda for each of L(H)'s eigenvalues but one zero (Kelmans and
     Chelnokov, J. Combin. Theory B 16, 1974).  L(H) = N^T N for H's oriented
     incidence matrix N, whose p x p Gram matrix N N^T has the same nonzero
-    eigenvalues, so for 0 < p < n the solve is p x p, for p >= n it is L(H)
-    itself, and p = 0 needs none.  With :func:`gram_classes`, one N N^T per
-    class is solved, and as eigvalsh solves each matrix of a stack alone,
-    every row gets the bits of a solve per row.
+    eigenvalues, so the solve is p x p, and p = 0 needs none.  With
+    :func:`gram_classes`, one N N^T per class is solved, and as eigvalsh
+    solves each matrix of a stack alone, every row gets the bits of a solve
+    per row.  The scans send no row with p >= n here (see :func:`scan_subsets`).
     """
     B, p = ends.shape[:2]
     if p >= n:
-        lam = np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends)))[:, 1:]
-    elif p:
+        raise ValueError(f"the Gram route holds fewer than n = {n} deleted edges, got {p}")
+    if p:
         first, which = classes or (slice(None), slice(None))
         lam = np.linalg.eigvalsh(_edge_gram(ends[first]).astype(float))[which]
     else:
@@ -730,12 +725,12 @@ def merge_subset_scans(objective: str, top: int, parts: list[SubsetScan]) -> Sub
 
 
 def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
-    idx = connected_rows(n, subs, deleted)
-    ends = batch_ends(n, subs[idx])
-    if deleted:
-        _, kf = batch_kf(n, batch_eigenvalues(n, ends, gram_classes(n, subs[idx])))
+    if deleted:  # p <= n - 2 (scan_subsets): every row is connected
+        idx = np.arange(subs.shape[0])
+        _, kf = batch_kf(n, batch_eigenvalues(n, batch_ends(n, subs), gram_classes(n, subs)))
     else:
-        kf = batch_kf_sweep(n, ends)
+        idx = np.flatnonzero(batch_connected(n, subs))
+        kf = batch_kf_sweep(n, batch_ends(n, subs[idx]))
     if classify is None:
         pooled = _pool_top_groups(kf, rank0 + idx, objective, top)
         return SubsetScan(subs.shape[0], idx.size, *pooled)
@@ -759,15 +754,19 @@ def scan_subsets(
     """Pooled members of the ``top`` best Kf value groups over a subset space.
 
     With ``classify(n, rows)``, which gives an integer key per connected
-    row, the pools are kept per key in ``by_key`` instead.
+    row, the pools are kept per key in ``by_key`` instead.  A deleted space
+    with p >= n - 1, the one kind whose rows can be disconnected, scans as
+    the complements' ``connected_with_edges(n, C(n,2) - p)``, whose order is
+    the reverse: its rank r is rank C(C(n,2), p) - 1 - r (not in ``by_key``).
     """
-    return scan(
-        spec,
-        partial(_kf_kernel, spec.n, spec.mode == "deleted-edges", objective, top, classify),
-        partial(merge_subset_scans, objective, top),
-        jobs,
-        budget,
-    )
+    n, deleted = spec.n, spec.mode == "deleted-edges"
+    if deleted and spec.count >= n - 1:
+        complements = connected_with_edges(n, n * (n - 1) // 2 - spec.count)
+        flipped = scan_subsets(complements, objective, top, jobs, budget, classify)
+        flipped.ranks = cardinality(spec) - 1 - flipped.ranks
+        return flipped
+    kernel = partial(_kf_kernel, n, deleted, objective, top, classify)
+    return scan(spec, kernel, partial(merge_subset_scans, objective, top), jobs, budget)
 
 
 def _class_kernel(n, classes, rank0, subs) -> dict:

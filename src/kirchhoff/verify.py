@@ -458,9 +458,17 @@ def _require_params(params: dict, *names) -> tuple:
 
 
 def _deleted_space_params(params: dict) -> tuple[int, int]:
+    """(n, p) of a bound verdict, refused before its budget check past p = 6, where the class
+    scan of ``deleted_edges(2p, p)`` passes the default budget, which no verdict's budget raises."""
     n, p = _require_params(params, "n", "p")
     if not 2 <= p <= n // 2:
         raise ParamOutOfRangeError(f"need 2 <= p <= n/2, got n={n} p={p}")
+    rows = math.comb(p * (2 * p - 1), p)  # deleted_edges(2p, p)
+    if rows > enum.DEFAULT_BUDGET:
+        raise ParamOutOfRangeError(
+            f"deletion classes are built only up to p = 6, from the scan of the 2p-vertex space "
+            f"({rows} rows at p = {p}); --budget does not raise that limit"
+        )
     return n, p
 
 
@@ -488,15 +496,7 @@ def _deletion_values(n: int, p: int, q: tuple[int, ...]) -> tuple[Fraction, int]
 
 def _deletion_classes(report: VerificationReport, n: int, p: int) -> list[DeletionClass]:
     """Every labeled K_n minus p edges as exact classes, in the rank order of their
-    representatives; a failure when the weights miss the C(C(n,2), p) labeled graphs.
-    Refused before any scan past p = 6, where the class scan of ``deleted_edges(2p, p)``
-    passes the default budget; no verdict's budget raises that limit."""
-    rows = cardinality(enum.deleted_edges(max(2, 2 * p), p))
-    if rows > enum.DEFAULT_BUDGET:
-        raise ParamOutOfRangeError(
-            f"deletion classes are built only up to p = 6, from the scan of the 2p-vertex space "
-            f"({rows} rows at p = {p}); --budget does not raise that limit"
-        )
+    representatives; a failure when the weights miss the C(C(n,2), p) labeled graphs."""
     classes = [
         DeletionClass(*_deletion_values(n, p, q), v, dmax, math.comb(n, v) * q_v, ends)
         for (q, v, dmax), (q_v, ends) in enum.deletion_classes(p).items()

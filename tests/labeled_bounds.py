@@ -13,6 +13,7 @@ from functools import partial
 
 import numpy as np
 
+import deleted_route
 import kirchhoff.enumeration as enum
 from kirchhoff.enumeration import member
 from kirchhoff.families import FamilySpec, build
@@ -67,10 +68,10 @@ def deletion_block(spec, subs):
     """(row indices, Kf, spanning-tree count, max deleted degree) of a block's
     connected rows, from one eigensolve and determinant per Gram class."""
     n = spec.n
-    idx = enum.connected_rows(n, subs, True)
+    idx = deleted_route.connected_rows(n, subs)
     ends = enum.batch_ends(n, subs[idx])
     classes = enum.gram_classes(n, subs[idx])
-    eigs = enum.batch_eigenvalues(n, ends, classes)
+    eigs = deleted_route.deleted_eigenvalues(n, ends, classes)
     _, kf = enum.batch_kf(n, eigs)
     first, which = classes or (slice(None), slice(None))
     t = enum.batch_tree_counts(n, ends[first], eigs[first])[which]

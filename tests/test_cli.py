@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from kirchhoff.cli import main
@@ -96,9 +98,9 @@ class TestVerifyCommand:
 
     def test_budget_exit_two(self, capsys):
         code, _, err = run(
-            capsys, "verify", "--theorem", "lower-bound", "--n", "40", "--p", "20"
+            capsys, "verify", "--theorem", "lower-bound", "--n", "40", "--p", "6"
         )
-        assert code == 2 and "budget" in err
+        assert code == 2 and err == f"error: space has {math.comb(780, 6)} members, budget is 100000000\n"
 
     def test_class_table_past_p6_exit_two(self, capsys, monkeypatch):
         # deleted_edges(14, 7) has 8,093,990,190 rows: no budget lets the class scan run
@@ -108,14 +110,13 @@ class TestVerifyCommand:
             raise AssertionError("class scan started")
 
         monkeypatch.setattr(verify.enum, "deletion_classes", unreachable)
-        code, out, err = run(
-            capsys, "verify", "--theorem", "upper-bound", "--n", "14", "--p", "7", "--budget", "100000000000"
-        )
-        assert code == 2 and out == ""
-        assert err == (
-            "error: deletion classes are built only up to p = 6, from the scan of the 2p-vertex space "
-            "(8093990190 rows at p = 7); --budget does not raise that limit\n"
-        )
+        for budget in ([], ["--budget", "100000000000"]):  # the limit comes before the default budget's refusal
+            code, out, err = run(capsys, "verify", "--theorem", "upper-bound", "--n", "14", "--p", "7", *budget)
+            assert code == 2 and out == ""
+            assert err == (
+                "error: deletion classes are built only up to p = 6, from the scan of the 2p-vertex space "
+                "(8093990190 rows at p = 7); --budget does not raise that limit\n"
+            )
 
     def test_param_error_exit_two(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "lower-bound", "--n", "6")

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deleted_route
 import kirchhoff.enumeration as enum
 import kirchhoff.verify as verify
 import labeled_bounds
+from kirchhoff.cli import main
 from kirchhoff.enumeration import (
     BudgetExceededError,
     batch_connected,
@@ -27,7 +29,6 @@ from kirchhoff.enumeration import (
     cardinality,
     check_budget,
     complete_edge_table,
-    connected_rows,
     connected_with_edges,
     deleted_edges,
     deletion_classes,
@@ -561,7 +562,7 @@ def _eigvalsh_kf(n, ends):
 def _connected_ends(n, m):
     """Endpoints of every connected m-edge graph on n labeled vertices."""
     subs = _all_subsets(n, m)
-    return batch_ends(n, subs[connected_rows(n, subs, False)])
+    return batch_ends(n, subs[batch_connected(n, subs)])
 
 
 def _block_results(spec, top, classify, monkeypatch, route):
@@ -592,7 +593,7 @@ class TestSweepKf:
     def test_tree_rows_as_their_wiener_index(self, n):
         spec = connected_with_edges(n, n - 1)
         subs = _all_subsets(n, n - 1)
-        idx = connected_rows(n, subs, False)
+        idx = np.flatnonzero(batch_connected(n, subs))
         assert idx.size == n ** (n - 2)  # Cayley: every connected n-1 edge graph is a tree
         W = np.array([wiener(row_graph(spec, row)) for row in subs[idx].tolist()], dtype=float)
         assert (np.abs(batch_kf_sweep(n, batch_ends(n, subs[idx])) - W) <= 1e-12 * W).all()
@@ -626,7 +627,8 @@ def _full_deleted_spectrum(n, subs):
 
 
 def _deleted_eigenvalues(n, subs):
-    return batch_eigenvalues(n, batch_ends(n, subs), gram_classes(n, subs))
+    """The Gram route, or each row's L(H) where p >= n (tests/deleted_route.py)."""
+    return deleted_route.deleted_eigenvalues(n, batch_ends(n, subs), gram_classes(n, subs))
 
 
 def _all_subsets(n, p):
@@ -653,8 +655,9 @@ def _max_error(n, subs):
 
 
 class TestDeletedSpectrum:
-    """K_n - H's spectrum from H's p x p edge Gram matrix (or L(H) when p >= n)
-    against the full n x n eigensolve, which stays as the oracle, to n * 1e-13."""
+    """K_n - H's spectrum from H's p x p edge Gram matrix (or, when p >= n, from
+    L(H) in tests/deleted_route.py) against the full n x n eigensolve, which
+    stays as the oracle, to n * 1e-13."""
 
     @pytest.mark.parametrize("n,p", SMALL_DELETED)
     def test_every_row_of_small_spaces(self, n, p):
@@ -669,6 +672,11 @@ class TestDeletedSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         eigs = _deleted_eigenvalues(7, np.zeros((3, 0), dtype=np.int64))
         assert eigs.tolist() == [[0.0] + [7.0] * 6] * 3
+
+    def test_library_refuses_n_or_more_deleted_edges(self):
+        ends = batch_ends(6, _all_subsets(6, 6)[:3])
+        with pytest.raises(ValueError, match=r"^the Gram route holds fewer than n = 6 deleted edges, got 6$"):
+            batch_eigenvalues(6, ends)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 62).flatmap(lambda n: st.tuples(st.just(n), _deleted_rows(n))))
@@ -717,7 +725,7 @@ def _grouped_counts(n, subs):
     """One count per Gram class, on its first row, as labeled_bounds.deletion_block takes them."""
     ends = batch_ends(n, subs)
     first, which = gram_classes(n, subs)
-    eigs = batch_eigenvalues(n, ends, (first, which))
+    eigs = deleted_route.deleted_eigenvalues(n, ends, (first, which))
     return batch_tree_counts(n, ends[first], eigs[first])[which]
 
 
@@ -790,7 +798,7 @@ class TestGramClasses:
         # batch_tree_counts on every row, no classes: the minor of nI - J - L(H)
         subs = _all_subsets(n, p)
         ends = batch_ends(n, subs)
-        counts = batch_tree_counts(n, ends, batch_eigenvalues(n, ends))
+        counts = batch_tree_counts(n, ends, deleted_route.deleted_eigenvalues(n, ends))
         assert counts.tolist() == _per_row_counts(n, subs).tolist()
 
     @settings(max_examples=40, deadline=None)
@@ -811,14 +819,15 @@ class TestGramClasses:
         m = n * (n - 1) // 2
         for p in range(n - 1):
             for _, subs in subset_blocks(m, p, 0, math.comb(m, p), block_rows(n)):
-                assert batch_connected(n, subs, True).all()
-                assert connected_rows(n, subs, True).tolist() == list(range(subs.shape[0]))
+                assert deleted_route.deleted_connected(n, subs).all()
+                assert deleted_route.connected_rows(n, subs).tolist() == list(range(subs.shape[0]))
 
     def test_connectivity_untested_below_n_minus_1_deletions(self, monkeypatch):
         def fail(*args):
             raise AssertionError("batch_connected called")
 
         monkeypatch.setattr(enum, "batch_connected", fail)
+        monkeypatch.setattr(deleted_route, "deleted_connected", fail)
         assert scan_subsets(deleted_edges(6, 4), "max", 1).connected == math.comb(15, 4)
         idx, _, _, _ = labeled_bounds.deletion_block(deleted_edges(8, 4), _all_subsets(8, 4)[:100])
         assert idx.tolist() == list(range(100))
@@ -844,6 +853,63 @@ class TestGramClasses:
         assert dmax.tolist() == [10, 1, 2, 10, 2]
 
 
+# Every deleted-edges space on n <= 11 vertices whose rows can be disconnected (p >= n - 1), up to 2e5 rows.
+# Past n = 11 these spaces keep fewer than n - 1 edges, so no row is connected, and the labeled route
+# takes seconds to minutes on each: its (p + 1, C(n,2)) binomial table and p gathers per block.
+COMPLEMENT_SPACES = [
+    (n, p) for n in range(2, 12) for p in range(n - 1, n * (n - 1) // 2 + 1) if math.comb(n * (n - 1) // 2, p) <= 2 * 10**5
+]
+
+
+def _search_lines(capsys, n, p, objective, jobs):
+    code = main(["search", "--deleted-edges", f"{n},{p}", f"--{objective}", "--top", "50", "--jobs", str(jobs)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestComplementRoute:
+    """A deleted space with p >= n - 1 scans as connected_with_edges(n, C(n,2) - p),
+    its ranks reversed, against the labeled deleted route it replaced
+    (tests/deleted_route.py): bitmask connectivity of K_n minus each row's
+    edges, and each connected row's L(H) eigensolve where p >= n."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_complement_reverses_every_rank(self, n):
+        m = n * (n - 1) // 2
+        for p in range(m + 1):
+            ranks = np.arange(math.comb(m, p))
+            keep = np.ones((ranks.size, m), dtype=bool)
+            keep[ranks[:, None], enum.unrank_rows(m, p, ranks)] = False
+            complements = np.nonzero(keep)[1].reshape(ranks.size, m - p)
+            assert (complements == enum.unrank_rows(m, m - p, ranks.size - 1 - ranks)).all()
+
+    @pytest.mark.parametrize("n,p", COMPLEMENT_SPACES)
+    def test_search_lines_as_the_deleted_route(self, n, p, capsys, monkeypatch):
+        for objective in ("min", "max"):
+            got = _search_lines(capsys, n, p, objective, 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(enum, "scan_subsets", deleted_route.scan_subsets)
+                want = _search_lines(capsys, n, p, objective, 1)
+            assert got == want
+
+    def test_multi_block_space_for_any_job_count(self, capsys, monkeypatch):
+        n, p = 7, 8  # 203,490 rows: 13 blocks
+        for objective in ("min", "max"):
+            with monkeypatch.context() as patch:
+                patch.setattr(enum, "scan_subsets", deleted_route.scan_subsets)
+                want = _search_lines(capsys, n, p, objective, 1)
+            assert want[0] == 0
+            for jobs in (1, 2, 3):
+                assert _search_lines(capsys, n, p, objective, jobs) == want
+
+    def test_scan_counts_as_the_deleted_route(self):
+        for n, p in [(5, 4), (6, 7), (7, 6)]:
+            got = scan_subsets(deleted_edges(n, p), "max", 3)
+            want = deleted_route.scan_subsets(deleted_edges(n, p), "max", 3)
+            assert (got.checked, got.connected) == (want.checked, want.connected)
+            assert sorted(got.ranks.tolist()) == sorted(want.ranks.tolist())
+
+
 class TestCycleLength:
     """Leaf stripping on (B, n) degree counts against the (B, n, n) adjacency stack."""
 
@@ -858,7 +924,7 @@ class TestCycleLength:
         total, block = cardinality(spec), block_rows(8)
         for rank0 in (0, block * (total // block // 2), block * (total // block)):
             (_, subs), = subset_blocks(28, m, rank0, rank0 + block, block)
-            subs = subs[connected_rows(8, subs, False)]
+            subs = subs[batch_connected(8, subs)]
             assert batch_cycle_length(8, subs).tolist() == adjacency_cycle_length(8, subs).tolist()
 
     def test_empty_block(self):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deleted_route
 from kirchhoff.enumeration import (
     batch_connected,
     batch_degrees,
-    batch_eigenvalues,
     batch_ends,
     batch_kf,
     batch_laplacian,
@@ -375,11 +375,11 @@ class TestZeroThreshold:
 
 
 def _eigenvalues(n, subs, deleted):
-    """K_n minus each row's edges by the Gram route if ``deleted``, else the full
-    Laplacian of each row's edges."""
+    """K_n minus each row's edges if ``deleted`` (by the Gram route for fewer than n
+    edges, by L(H) for more: tests/deleted_route.py), else the full Laplacian of each row's edges."""
     ends = batch_ends(n, subs)
     if deleted:
-        return batch_eigenvalues(n, ends, gram_classes(n, subs))
+        return deleted_route.deleted_eigenvalues(n, ends, gram_classes(n, subs))
     return np.linalg.eigvalsh(batch_laplacian(n, ends, batch_degrees(n, ends)))
 
 
@@ -415,8 +415,10 @@ class TestBatchConnectivity:
         subs = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))
         table = complete_edge_table(n)
         graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
-        mask = batch_connected(n, subs, deleted)
+        mask = deleted_route.deleted_connected(n, subs) if deleted else batch_connected(n, subs)
         assert mask.tolist() == [is_connected(g) for g in graphs]
+        # a deleted row's graph is its complement's, as a deleted scan with p >= n - 1 tests it
+        assert (batch_connected(n, _complement_rows(n, subs) if deleted else subs) == mask).all()
         eigen_mask, _ = batch_kf(n, _eigenvalues(n, subs, deleted))
         assert (mask == eigen_mask).all()
 
@@ -432,7 +434,7 @@ class TestBatchConnectivity:
         graphs = [make_graph(n, {table[i] for i in row} ^ (set(table) if deleted else set())) for row in rows]
         deleted_rows = subs if deleted else _complement_rows(n, subs)
         ends = batch_ends(n, deleted_rows)
-        counts = batch_tree_counts(n, ends, batch_eigenvalues(n, ends, gram_classes(n, deleted_rows)))
+        counts = batch_tree_counts(n, ends, deleted_route.deleted_eigenvalues(n, ends, gram_classes(n, deleted_rows)))
         assert [int(t) for t in counts] == [tree_count(g) for g in graphs]
         assert [bool(t) for t in counts] == [is_connected(g) for g in graphs]
 

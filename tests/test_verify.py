@@ -257,14 +257,24 @@ class TestClassRoute:
                 assert _lex_rank(n, [(2 * i, 2 * i + 1) for i in range(p)]) == ranks[0]
 
     @pytest.mark.parametrize("theorem", list(labeled_bounds.LABELED))
+    def test_refused_past_the_class_table_before_the_budget_or_any_class(self, theorem, monkeypatch):
+        # deleted_edges(40, 20) is over the budget too: the class-table limit, which no budget raises, comes first
+        def fail(p):
+            raise AssertionError("classes built")
+
+        monkeypatch.setattr(verify.enum, "deletion_classes", fail)
+        with pytest.raises(ParamOutOfRangeError, match=r"^deletion classes are built only up to p = 6, .* \(\d+ rows at p = 20\)"):
+            verify_theorem(theorem, {"n": 40, "p": 20})
+
+    @pytest.mark.parametrize("theorem", list(labeled_bounds.LABELED))
     def test_refused_over_budget_before_any_class(self, theorem, monkeypatch):
         def fail(p):
             raise AssertionError("classes built")
 
         monkeypatch.setattr(verify.enum, "deletion_classes", fail)
         with pytest.raises(BudgetExceededError) as refusal:
-            verify_theorem(theorem, {"n": 40, "p": 20})
-        assert refusal.value.cardinality == math.comb(780, 20)
+            verify_theorem(theorem, {"n": 40, "p": 6})
+        assert refusal.value.cardinality == math.comb(780, 6)
 
 
 def _patched_classes(monkeypatch, p, change):
@@ -477,7 +487,7 @@ class TestVerifyTheorem:
         from kirchhoff.enumeration import BudgetExceededError
 
         with pytest.raises(BudgetExceededError):
-            verify_theorem("lower-bound", {"n": 40, "p": 20})
+            verify_theorem("lower-bound", {"n": 40, "p": 6})  # p <= 6: within the class table
 
     def test_unknown_theorem(self):
         with pytest.raises(ParamOutOfRangeError):
