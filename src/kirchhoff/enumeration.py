@@ -24,12 +24,13 @@ of its last L digits (:func:`tail_length`), so they run once per such
 class, and the last L+1 steps run per rank from tables that repeat with
 period n^L.  Every space is
 walked in blocks of up to 2^14 rows (:func:`block_rows`).  A block's
-connected ``connected-with-edges`` rows (:func:`batch_connected`) take Kf
-from the inverse of their reduced Laplacian, by a Gauss-Jordan sweep
-across the block's rows-last Laplacian stack (:func:`batch_kf_sweep`),
-with no eigensolve.  K_n is (n-1)-edge-connected, so every
-``deleted-edges`` row with p <= n - 2 is connected; it is eigensolved once
-per distinct p x p Gram matrix of its p deleted edges in a block
+connected ``connected-with-edges`` rows (:func:`batch_connected`, by vertex
+bitmasks in the narrowest lane that holds n bits) take Kf from the inverse
+of their reduced Laplacian, by a Gauss-Jordan sweep across the block's
+rows-last Laplacian stack (:func:`batch_kf_sweep`), with no eigensolve.
+K_n is (n-1)-edge-connected, so every ``deleted-edges`` row with p <= n - 2
+is connected; it is eigensolved once per distinct p x p Gram matrix of its
+p deleted edges in a block
 (:func:`gram_classes`, keyed from a per-n edge-pair table by
 :func:`gram_keys`), and a space with p >= n - 1 scans as the
 ``connected-with-edges`` space of its complements (:func:`scan_subsets`).
@@ -91,8 +92,8 @@ class EnumerationSpec:
 
 def check_n(n: int) -> None:
     """Every space, Prüfer decode and verifier holds 2..62 vertices: witnesses print
-    as graph6, whose one size byte stops at 62, and the int64 vertex bitmasks of
-    batch_connected and prufer_steps hold that many."""
+    as graph6, whose one size byte stops at 62, and the vertex bitmasks of
+    batch_connected (int64 past 32 vertices) and prufer_steps (int64) hold that many."""
     if not 2 <= n <= 62:
         raise ValueError(f"enumeration spaces need 2 <= n <= 62, got n={n}")
 
@@ -189,9 +190,18 @@ def enumerate_space(
 
 @lru_cache(maxsize=None)
 def _colex_binomials(m: int, k: int) -> np.ndarray:
-    """(k+1, m) table of C(t, i) for slot i and element t, capped at the int64 maximum."""
+    """(k+1, m) table of C(t, i) for slot i and element t, capped at the int64 maximum.
+
+    Column t comes from column t-1 by Pascal's rule, saturated as
+    min(a, cap - b) + b = min(a + b, cap), so every entry stays in int64.
+    """
     cap = np.iinfo(np.int64).max
-    return np.array([[min(math.comb(t, i), cap) for t in range(m)] for i in range(k + 1)], dtype=np.int64)
+    table = np.zeros((k + 1, m), dtype=np.int64)
+    table[0] = 1
+    for t in range(1, m):
+        above = table[:, t - 1]
+        table[1:, t] = np.minimum(above[1:], cap - above[:-1]) + above[:-1]
+    return table
 
 
 def unrank_rows(m: int, k: int, ranks) -> np.ndarray:
@@ -278,26 +288,28 @@ def _edge_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _edge_bits(n: int) -> np.ndarray:
-    """(n, m) int64: column e holds edge e's bit in each vertex's neighbour bitmask."""
+    """(n, m): column e holds edge e's bit in each vertex's neighbour bitmask, in the
+    narrowest lane that holds n bits: uint8, uint16 or uint32, else int64 (n <= 62)."""
+    lane = next((t for t in (np.uint8, np.uint16, np.uint32) if n <= np.iinfo(t).bits), np.int64)
     eu, ev = _edge_table(n).T
-    bits = np.zeros((n, eu.size), dtype=np.int64)
+    bits = np.zeros((n, eu.size), dtype=lane)
     bits[eu, np.arange(eu.size)] = np.left_shift(1, ev)
     bits[ev, np.arange(eu.size)] = np.left_shift(1, eu)
     return bits
 
 
 def batch_connected(n: int, subsets: np.ndarray) -> np.ndarray:
-    """Exact connectivity of the graph of the edges each subset row selects (n <= 62,
-    one int64 bitmask per vertex).
+    """Exact connectivity of the graph of the edges each subset row selects (n <= 62),
+    one bitmask per vertex in the narrowest lane that holds n bits (:func:`_edge_bits`).
 
     The set reached from vertex 0 grows by the neighbours of its members,
     one sweep over the vertices at a time, until no row changes.
     """
     bits = _edge_bits(n)
-    masks = np.zeros((n, subsets.shape[0]), dtype=np.int64)
+    masks = np.zeros((n, subsets.shape[0]), dtype=bits.dtype)
     for column in subsets.T:  # one (n, B) gather per subset slot
-        masks += bits[:, column]
-    reach = np.ones(subsets.shape[0], dtype=np.int64)
+        masks |= np.take(bits, column, axis=1)
+    reach = np.ones(subsets.shape[0], dtype=bits.dtype)
     while True:
         before = reach.copy()
         for v in range(n):
@@ -309,7 +321,7 @@ def batch_connected(n: int, subsets: np.ndarray) -> np.ndarray:
 def batch_ends(n: int, subsets: np.ndarray) -> np.ndarray:
     """(B, k, 2) endpoints of the edges each subset row selects: a block's one
     gather, from which its degrees and Laplacians are built."""
-    return _edge_table(n)[subsets]
+    return np.take(_edge_table(n), subsets, axis=0)
 
 
 def batch_degrees(n: int, ends: np.ndarray) -> np.ndarray:
@@ -608,11 +620,21 @@ def _sorted_groups(vals: np.ndarray, objective: str) -> tuple[np.ndarray, np.nda
 def _pool_top_groups(
     vals: np.ndarray, ranks: np.ndarray, objective: str, top: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep every member of the first ``top`` value groups."""
+    """Keep every member of the first ``top`` >= 1 value groups, in preference order.
+
+    The groups are cut on the sorted values first: group top-1 ends at some
+    value, and the next sorted value is not tied with it, so the members
+    are exactly the rows at or before that value, and only they are
+    argsorted.  No NaN reaches a pool: the scans pool only connected rows,
+    whose Kf is finite.
+    """
     if vals.size == 0:
         return vals, ranks
-    order, groups = _sorted_groups(vals, objective)
-    keep = order[groups < top]
+    keys = -vals if objective == "max" else vals
+    ordered = np.sort(keys)
+    last = ordered[np.searchsorted(np.cumsum(~tied(ordered[1:], ordered[:-1])), top)]
+    keep = np.flatnonzero(keys <= last)
+    keep = keep[np.argsort(keys[keep], kind="stable")]
     return vals[keep], ranks[keep]
 
 

@@ -20,7 +20,7 @@ def deleted_connected(n, subsets):
     The set reached from vertex 0 grows by the neighbours of its members,
     one sweep over the vertices at a time, until no row changes.
     """
-    bits = enum._edge_bits(n)
+    bits = enum._edge_bits(n).astype(np.int64)
     masks = np.zeros((n, subsets.shape[0]), dtype=np.int64)
     for column in subsets.T:  # one (n, B) gather per subset slot
         masks += bits[:, column]

@@ -212,6 +212,16 @@ class TestUnranking:
         got = [tuple(int(x) for x in row) for _, rows in blocks for row in rows]
         assert got == expected
 
+    def test_colex_binomials_saturate_at_int64(self):
+        cap = np.iinfo(np.int64).max
+        for m in range(40):
+            full = [[min(math.comb(t, i), cap) for t in range(m)] for i in range(m + 1)]
+            for k in range(m + 1):
+                assert enum._colex_binomials(m, k).tolist() == full[: k + 1]
+        for m, k in [(70, 35), (100, 50)]:  # from C(67, 33) on, entries saturate at the cap
+            expected = [[min(math.comb(t, i), cap) for t in range(m)] for i in range(k + 1)]
+            assert enum._colex_binomials(m, k).tolist() == expected
+
     def test_subset_ranks_beyond_int64_refused(self):
         with pytest.raises(ValueError, match=r"C\(200,100\)"):
             next(subset_blocks(200, 100, 0, 1, 1))
@@ -563,6 +573,64 @@ def _connected_ends(n, m):
     """Endpoints of every connected m-edge graph on n labeled vertices."""
     subs = _all_subsets(n, m)
     return batch_ends(n, subs[batch_connected(n, subs)])
+
+
+def argsort_pool(vals, ranks, objective, top):
+    """``_pool_top_groups`` as it was before it cut first, kept as its oracle: a stable
+    argsort of every row, then the first ``top`` groups."""
+    if vals.size == 0:
+        return vals, ranks
+    order, groups = enum._sorted_groups(vals, objective)
+    keep = order[groups < top]
+    return vals[keep], ranks[keep]
+
+
+def _chain(start, links, step):
+    """``links`` values from ``start``, each ``step`` * TIE_TOL relative above the one before."""
+    return [start * (1 + step * enum.TIE_TOL) ** i for i in range(links)]
+
+
+class TestPool:
+    """The cut-first pool against the full-argsort pool: the same arrays, bit for bit."""
+
+    # each chain's neighbours are tied, its ends are not: one group that the cut must not split
+    POOLS = {
+        "empty": [],
+        "one": [5.0],
+        "all-equal": [7.0] * 6,
+        "all-tied-chain": _chain(3.0, 8, 0.6),
+        "two-groups": [2.0, 9.0, 2.0, 9.0],
+        "chain-at-each-end": _chain(10.0, 4, 0.9) + [20.0, 30.0, 20.0] + _chain(40.0, 5, 0.7)[::-1],
+        "chains-straddling": [11.0, 12.0, 13.0, 14.0] + _chain(12.0, 3, 0.8) + _chain(13.0, 3, -0.8)
+        + _chain(14.0, 2, 1.5),  # 1.5 TIE_TOL apart: two groups, the cut falls between them
+        "near-misses": [1.0, 1.0 + 1.01e-7, 1.0 + 2.02e-7, 2.0, 2.0 * (1 + 0.99e-7), 3.0],
+    }
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    @pytest.mark.parametrize("top", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pool", POOLS, ids=str)
+    def test_planted_values_as_the_argsort_pool(self, pool, top, objective):
+        vals = np.array(self.POOLS[pool], dtype=float)
+        for seed in range(4):  # shuffled, with ranks in several orders
+            rng = np.random.default_rng(seed)
+            order = rng.permutation(vals.size)
+            ranks = rng.permutation(10 * vals.size)[: vals.size].astype(np.int64)
+            got = enum._pool_top_groups(vals[order], ranks, objective, top)
+            want = argsort_pool(vals[order], ranks, objective, top)
+            assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+            assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    @pytest.mark.parametrize("top", [1, 3])
+    def test_scan_blocks_as_the_argsort_pool(self, objective, top):
+        # Kf of a block's connected rows: thousands of exact and near ties
+        spec = connected_with_edges(7, 8)
+        for rank0, subs in islice(enum._blocks(spec, 0, cardinality(spec)), 3):
+            idx = np.flatnonzero(batch_connected(7, subs))
+            kf = batch_kf_sweep(7, batch_ends(7, subs[idx]))
+            got = enum._pool_top_groups(kf, rank0 + idx, objective, top)
+            want = argsort_pool(kf, rank0 + idx, objective, top)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
 
 
 def _block_results(spec, top, classify, monkeypatch, route):

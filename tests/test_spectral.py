@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deleted_route
+import kirchhoff.enumeration as enum
 from kirchhoff.enumeration import (
     batch_connected,
     batch_degrees,
@@ -15,9 +17,11 @@ from kirchhoff.enumeration import (
     batch_laplacian,
     batch_tree_counts,
     complete_edge_table,
+    connected_with_edges,
     deleted_edges,
     gram_classes,
     subset_blocks,
+    unrank_rows,
 )
 from kirchhoff.families import FamilySpec, build
 from kirchhoff.graphs import (
@@ -402,6 +406,34 @@ def _subset_rows(n):
     )
 
 
+def int64_connected(n, subsets):
+    """``batch_connected`` as it was before its narrow lanes, kept as their oracle: one
+    int64 bitmask per vertex, summed from fancy-indexed gathers."""
+    bits = enum._edge_bits(n).astype(np.int64)
+    masks = np.zeros((n, subsets.shape[0]), dtype=np.int64)
+    for column in subsets.T:
+        masks += bits[:, column]
+    reach = np.ones(subsets.shape[0], dtype=np.int64)
+    while True:
+        before = reach.copy()
+        for v in range(n):
+            reach |= masks[v] & -((reach >> v) & 1)
+        if np.array_equal(before, reach):
+            return reach == (1 << n) - 1
+
+
+def _spanning_tree_rows(n, rng, count):
+    """(count, n-1) sorted edge-index rows of random spanning trees of K_n: each vertex
+    of a random order joins one vertex before it."""
+    index = {e: i for i, e in enumerate(complete_edge_table(n))}
+    rows = []
+    for _ in range(count):
+        order = rng.permutation(n).tolist()
+        edges = [tuple(sorted((order[v], order[int(rng.integers(v))]))) for v in range(1, n)]
+        rows.append(sorted(index[e] for e in edges))
+    return np.array(rows, dtype=np.int64).reshape(count, n - 1)
+
+
 class TestBatchConnectivity:
     """The exact bitmask filter that decides which rows reach the eigensolver."""
 
@@ -437,6 +469,35 @@ class TestBatchConnectivity:
         counts = batch_tree_counts(n, ends, deleted_route.deleted_eigenvalues(n, ends, gram_classes(n, deleted_rows)))
         assert [int(t) for t in counts] == [tree_count(g) for g in graphs]
         assert [bool(t) for t in counts] == [is_connected(g) for g in graphs]
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 16, 17, 32, 33, 62])
+    def test_narrow_lanes_as_the_int64_route(self, n):
+        # each lane's widest n puts a vertex on its top bit: bit 7 of a uint8, 31 of a uint32
+        lane = np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.int64
+        assert enum._edge_bits(n).dtype == lane
+        rng = np.random.default_rng(n)
+        m = n * (n - 1) // 2
+        assert not batch_connected(n, np.zeros((3, 0), dtype=np.int64)).any()
+        trees = _spanning_tree_rows(n, rng, 40)
+        cut = trees[rng.integers(n - 1, size=40)[:, None] != np.arange(n - 1)].reshape(40, n - 2)
+        assert batch_connected(n, trees).all() and not batch_connected(n, cut).any()
+        if m > n - 1:  # one more edge keeps a tree connected
+            extra = [sorted(row + [int(rng.choice(np.setdiff1d(np.arange(m), row)))]) for row in trees.tolist()]
+            assert batch_connected(n, np.array(extra, dtype=np.int64)).all()
+        for k in range(max(0, n - 2), min(m, n + 1) + 1):
+            rows = np.sort(np.array([rng.choice(m, k, replace=False) for _ in range(200)], dtype=np.int64), axis=1)
+            rows = rows.reshape(200, k)
+            assert (batch_connected(n, rows) == int64_connected(n, rows)).all()
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_small_graph_as_is_connected(self, n):
+        m = n * (n - 1) // 2
+        for k in range(m + 1):
+            spec = connected_with_edges(n, k)
+            subs = unrank_rows(m, k, np.arange(math.comb(m, k)))
+            expected = [is_connected(enum.row_graph(spec, row)) for row in subs.tolist()]
+            assert batch_connected(n, subs).tolist() == expected
+            assert int64_connected(n, subs).tolist() == expected
 
 
 def _fraction_det(m):
