@@ -12,22 +12,27 @@ An :class:`EnumerationSpec` is the only description of a space: the budget
 check, the scan's block walk and the member at a rank (:func:`member`) all
 derive from it.  Cardinalities are checked against a budget up front, so
 large requests refuse gracefully.  Each space has one unranker, used by
-:func:`member` and streaming (:func:`unrank_rows` for subsets, also in the
-subset scan's blocks; :func:`prufer_rows` for trees), and one map
-(:func:`row_graph`) turns a row into its graph.  One smallest-leaf decoder
-(:func:`prufer_steps`) serves both :func:`prufer_decode` and the Wiener
-kernel (:func:`wiener_block`): each leaf is the lowest zero bit of int64
-vertex bitmasks, and the kernel packs a tree's subtree sizes into 4-bit
-lanes of one int64.  The kernel takes a range of ranks, not digit rows:
+:func:`member` (:func:`unrank_rows` for subsets, which :func:`rank_rows`
+inverts; :func:`prufer_rows` for trees, also in streaming), and one map
+(:func:`row_graph`) turns a row into its graph.  A subset block
+(:class:`SubsetBlock`, from :func:`subset_blocks`) splits each row into a
+prefix, unranked once per run of rows that shares it, and its last L slots,
+one row of a per-(m, L) lex table of L-subsets (:func:`subset_tail_length`).
+One smallest-leaf decoder (:func:`prufer_steps`) serves both
+:func:`prufer_decode` and the Wiener kernel (:func:`wiener_block`): each
+leaf is the lowest zero bit of int64 vertex bitmasks, and the kernel packs
+a tree's subtree sizes into 4-bit lanes of one int64.  The kernel takes a range of ranks, not digit rows:
 the first n-2-L decoding steps depend only on a rank's prefix and the set
 of its last L digits (:func:`tail_length`), so they run once per such
 class, and the last L+1 steps run per rank from tables that repeat with
 period n^L.  Every space is
 walked in blocks of up to 2^14 rows (:func:`block_rows`).  A block's
-connected ``connected-with-edges`` rows (:func:`batch_connected`, by vertex
-bitmasks in the narrowest lane that holds n bits) take Kf from the inverse
-of their reduced Laplacian, by a Gauss-Jordan sweep across the block's
-rows-last Laplacian stack (:func:`batch_kf_sweep`), with no eigensolve.
+connected ``connected-with-edges`` rows (:func:`block_connected`, by vertex
+bitmasks in the narrowest lane that holds n bits, each row's masks its
+prefix's OR its tail's) take Kf from the inverse of their reduced Laplacian, by a
+Gauss-Jordan sweep across a rows-last stack of them, each its prefix's
+with its tail's edges and degrees added (:func:`block_kf_sweep`), with no
+eigensolve.
 K_n is (n-1)-edge-connected, so every ``deleted-edges`` row with p <= n - 2
 is connected; it is eigensolved once per distinct p x p Gram matrix of its
 p deleted edges in a block
@@ -44,8 +49,9 @@ and it decodes inline, from rank 0, only the blocks up to the last value's
 first tree.  One scan engine (:func:`scan`) runs every other exhaustive
 scan: blocks start at multiples of the block size, each job takes a run of
 whole blocks, and every block's partial result merges in rank order, so
-the job count changes no block and no result.  It imports
-:mod:`multiprocessing` only to fork, so inline scans never load it.
+the job count changes no block and no result.  It forks only for a space
+with the work to pay for a second worker (``FORK_WORK``), and imports
+:mod:`multiprocessing` only then, so inline scans never load it.
 """
 
 from __future__ import annotations
@@ -66,10 +72,19 @@ DEFAULT_BUDGET = 10**8
 # The one tie rule (see tied): relative gap between two Kf values that makes them two values.
 TIE_TOL = 1e-7
 
-# Rows per Gauss-Jordan sweep (batch_kf_sweep) and per Gram-key pass of the class
+# Rows per Gauss-Jordan sweep (block_kf_sweep) and per Gram-key pass of the class
 # scan: every block's rows go through arrays of this one size, which the allocator
-# reuses, where one array per block would vary in size and fragment the heap.
+# reuses, where one array per block would vary in size and fragment the heap.  It
+# also bounds the tail tables of the subset blocks (subset_tail_length), which
+# hold at most SWEEP_ROWS rows each.
 SWEEP_ROWS = 2048
+
+# Sweep work, rows x n^3, that pays for the start of a fork worker (scan): six
+# blocks of 2^14 rows at n = 7.  On 2 cores, inline against 2 workers, the 8
+# blocks of connected_with_edges(7, 7) took 43 and 61 ms, its 13 at (7, 8) 90
+# and 75 ms, and the 6 of deleted_edges(8, 5), four to a worker at n = 8, 52
+# and 54 ms.
+FORK_WORK = 1 << 25
 
 
 class BudgetExceededError(ValueError):
@@ -176,8 +191,7 @@ def enumerate_space(
     """Stream every member of the space exactly once, in rank order (labeled
     objects; ``connected-with-edges`` streams only its connected members)."""
     for _, rows in _blocks(spec, 0, check_budget(spec, budget)):
-        if spec.mode == "labeled-trees":
-            rows = prufer_rows(spec.n, rows)
+        rows = prufer_rows(spec.n, rows) if spec.mode == "labeled-trees" else rows.rows
         for row in rows.tolist():
             g = row_graph(spec, row)
             if spec.mode != "connected-with-edges" or is_connected(g):
@@ -209,13 +223,17 @@ def unrank_rows(m: int, k: int, ranks) -> np.ndarray:
     for each rank in [0, C(m,k)).
 
     Lex rank r of S is colex rank C(m,k)-1-r of {m-1-x : x in S}, so all
-    rows unrank at once, one ``searchsorted`` per slot.
+    rows unrank at once, one ``searchsorted`` per slot.  Past k = m/2 the
+    rows are the complements of the (m-k)-subsets at rank C(m,k)-1-r, whose
+    lex order is the reverse, so no row takes more than m/2 slot steps.
     """
     total = math.comb(m, k)
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"C({m},{k}) = {total} subsets do not fit int64 ranks")
-    table = _colex_binomials(m, k)
     colex = total - 1 - np.asarray(ranks, dtype=np.int64)
+    if 2 * k > m:
+        return _complements(m, unrank_rows(m, m - k, colex))
+    table = _colex_binomials(m, k)
     rows = np.empty((colex.size, k), dtype=np.int64)
     for i in range(k, 0, -1):
         t = np.searchsorted(table[i], colex, side="right") - 1
@@ -224,13 +242,99 @@ def unrank_rows(m: int, k: int, ranks) -> np.ndarray:
     return rows
 
 
+def rank_rows(m: int, k: int, rows) -> np.ndarray:
+    """(B,) lexicographic rank of each (B, k) row of increasing elements of range(m),
+    the inverse of :func:`unrank_rows` by the same colex and complement identities."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if 2 * k > m:
+        return math.comb(m, k) - 1 - rank_rows(m, m - k, _complements(m, rows))
+    colex = _colex_binomials(m, k)[np.arange(k, 0, -1), m - 1 - rows].sum(axis=1, dtype=np.int64)
+    return math.comb(m, k) - 1 - colex
+
+
+def _complements(m: int, rows: np.ndarray) -> np.ndarray:
+    """(B, m-k) increasing elements of range(m) that each (B, k) row of distinct elements leaves out."""
+    keep = np.ones((rows.shape[0], m), dtype=bool)
+    keep[np.arange(rows.shape[0])[:, None], rows] = False
+    return np.nonzero(keep)[1].reshape(rows.shape[0], m - rows.shape[1])
+
+
+def subset_tail_length(m: int, k: int) -> int:
+    """L, the last slots of a k-subset row, which a subset block reads from the lex
+    table of L-subsets of range(m): the largest L <= k with C(m, j) <= SWEEP_ROWS
+    for every j <= L."""
+    L = 0
+    while L < k and math.comb(m, L + 1) <= SWEEP_ROWS:
+        L += 1
+    return L
+
+
+@lru_cache(maxsize=None)
+def _tail_rows(m: int, L: int) -> np.ndarray:
+    """(C(m, L), L) lex table of every L-subset of range(m), shared by every subset
+    block at (m, L) and read-only."""
+    rows = unrank_rows(m, L, np.arange(math.comb(m, L)))
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, eq=False)  # blocks hold arrays: equal only to themselves
+class SubsetBlock:
+    """Consecutive lexicographic k-subsets of range(m), each split into its first
+    k - L slots, one of the block's ``prefixes``, and its last L, one row of
+    ``tails``, the lex table of every L-subset of range(m)
+    (:func:`subset_tail_length`): row i is ``prefixes[pid[i]]`` beside ``tails[tid[i]]``."""
+
+    prefixes: np.ndarray
+    tails: np.ndarray
+    pid: np.ndarray
+    tid: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.pid.size, self.prefixes.shape[1] + self.tails.shape[1]
+
+    def __len__(self) -> int:
+        return self.pid.size
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (B, k) index rows, built on each call."""
+        prefixes, tails = np.take(self.prefixes, self.pid, axis=0), np.take(self.tails, self.tid, axis=0)
+        return np.concatenate([prefixes, tails], axis=1)
+
+
+def _subset_block(m: int, k: int, tails: np.ndarray, first: int, stop: int) -> SubsetBlock:
+    """The block of the lex ranks [first, stop) of the k-subsets of range(m).
+
+    A row's tail of L = ``tails.shape[1]`` slots lies above its prefix P, so
+    the prefixes are the (k-L)-subsets of range(m-L) in lex order, and P owns
+    the rows whose tails are the last C(m-1-max P, L) rows of the tail table.
+    The block's prefixes run from its first row's to its last row's, and the
+    first and last runs are cut at those rows' tails.
+    """
+    L = tails.shape[1]
+    ends = unrank_rows(m, k, [first, stop - 1])
+    lo, hi = rank_rows(m - L, k - L, ends[:, : k - L])
+    prefixes = unrank_rows(m - L, k - L, np.arange(lo, hi + 1))
+    top = prefixes.max(axis=1, initial=-1)
+    start = tails.shape[0] - _colex_binomials(m + 1, L)[L, m - 1 - top]
+    end = np.full(prefixes.shape[0], tails.shape[0])
+    start[0], end[-1] = rank_rows(m, L, ends[:, k - L :]) + [0, 1]
+    owned = end - start
+    pid = np.repeat(np.arange(prefixes.shape[0]), owned)
+    tid = np.arange(stop - first) + np.repeat(start - np.cumsum(owned) + owned, owned)
+    return SubsetBlock(prefixes, tails, pid, tid)
+
+
 def subset_blocks(
     m: int, k: int, start: int, stop: int, block: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first rank, (B,k) index array) over lexicographic k-subsets."""
+) -> Iterator[tuple[int, SubsetBlock]]:
+    """Yield (first rank, :class:`SubsetBlock` of at most ``block`` rows) over lexicographic k-subsets."""
     stop = min(stop, math.comb(m, k))
+    tails = _tail_rows(m, subset_tail_length(m, k))
     for rank in range(start, stop, block):
-        yield rank, unrank_rows(m, k, np.arange(rank, min(rank + block, stop), dtype=np.int64))
+        yield rank, _subset_block(m, k, tails, rank, min(rank + block, stop))
 
 
 def _digits(n: int, length: int, ranks) -> np.ndarray:
@@ -298,18 +402,30 @@ def _edge_bits(n: int) -> np.ndarray:
     return bits
 
 
-def batch_connected(n: int, subsets: np.ndarray) -> np.ndarray:
-    """Exact connectivity of the graph of the edges each subset row selects (n <= 62),
-    one bitmask per vertex in the narrowest lane that holds n bits (:func:`_edge_bits`).
-
-    The set reached from vertex 0 grows by the neighbours of its members,
-    one sweep over the vertices at a time, until no row changes.
-    """
+def _neighbour_masks(n: int, subsets: np.ndarray) -> np.ndarray:
+    """(n, B) neighbour bitmask of each vertex in the graph of each subset row's
+    edges, in the narrowest lane that holds n bits (:func:`_edge_bits`)."""
     bits = _edge_bits(n)
     masks = np.zeros((n, subsets.shape[0]), dtype=bits.dtype)
     for column in subsets.T:  # one (n, B) gather per subset slot
         masks |= np.take(bits, column, axis=1)
-    reach = np.ones(subsets.shape[0], dtype=bits.dtype)
+    return masks
+
+
+def batch_connected(n: int, subsets: np.ndarray) -> np.ndarray:
+    """Exact connectivity of the graph of the edges each subset row selects (n <= 62),
+    from its neighbour bitmasks (:func:`_all_reached`); a scan block ORs its
+    prefix and tail masks instead (:func:`block_connected`)."""
+    return _all_reached(n, _neighbour_masks(n, subsets))
+
+
+def _all_reached(n: int, masks: np.ndarray) -> np.ndarray:
+    """Whether vertex 0 reaches every vertex, from (n, B) neighbour bitmasks.
+
+    The set reached from vertex 0 grows by the neighbours of its members,
+    one sweep over the vertices at a time, until no row changes.
+    """
+    reach = np.ones(masks.shape[1], dtype=masks.dtype)
     while True:
         before = reach.copy()
         for v in range(n):
@@ -338,7 +454,7 @@ def batch_laplacian(n: int, ends: np.ndarray, deg: np.ndarray) -> np.ndarray:
     the sign of zero, which reaches the last bits of an eigenvalue.  The
     stack is stored rows-last: the result is a view of an (n, n, B) array,
     ``L.transpose(1, 2, 0)``, in which each entry of every row is one
-    contiguous length-B vector (:func:`batch_kf_sweep`).
+    contiguous length-B vector (:func:`block_kf_sweep`).
     """
     B = ends.shape[0]
     rows = np.arange(B)[:, None]
@@ -452,19 +568,61 @@ def _invert_rows_last(X: np.ndarray) -> None:
                 X[i] -= update
 
 
-def batch_kf_sweep(n: int, ends: np.ndarray) -> np.ndarray:
-    """Kirchhoff index of each row of a block whose selected edges form a connected graph.
+@lru_cache(maxsize=None)
+def _tail_graphs(n: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(neighbour masks, degrees, offsets) of the graph of each of the T rows of
+    the lex table of L-subsets of E(K_n) (:class:`SubsetBlock`), one column per
+    row: the (n, T) masks :func:`_neighbour_masks` gives, the (n-1, T)
+    degrees of vertices 1..n-1, and the (2L, T) flat offsets i (n-1) + j of
+    the entries (i, j) and (j, i) each edge sets to -1 in the reduced
+    Laplacian L_0.  An edge (0, v) has no entry off the diagonal of L_0, so
+    both its offsets name v's diagonal entry, which the sweep sets after them
+    (:func:`block_kf_sweep`).
+    """
+    rows = _tail_rows(n * (n - 1) // 2, L)
+    ends = batch_ends(n, rows).transpose(2, 1, 0)
+    u, v = ends[0], ends[1] - 1  # u < v in table order
+    u = np.where(u == 0, v, u - 1)
+    offsets = np.concatenate([u * (n - 1) + v, v * (n - 1) + u])
+    tables = _neighbour_masks(n, rows), batch_degrees(n, ends.T)[:, 1:].T.copy(), offsets
+    for table in tables:  # shared by every block at (n, L)
+        table.flags.writeable = False
+    return tables
+
+
+def block_connected(n: int, block: SubsetBlock) -> np.ndarray:
+    """:func:`batch_connected` of a scan block's rows: each row's neighbour masks are
+    its prefix's OR its tail's, two gathers in place of one per slot."""
+    masks = np.take(_neighbour_masks(n, block.prefixes), block.pid, axis=1)
+    masks |= np.take(_tail_graphs(n, block.tails.shape[1])[0], block.tid, axis=1)
+    return _all_reached(n, masks)
+
+
+def block_kf_sweep(n: int, block: SubsetBlock, idx: np.ndarray) -> np.ndarray:
+    """Kirchhoff index of each row ``idx`` of a subset block whose edges form a connected graph.
 
     With X the inverse of the reduced Laplacian L_0 (vertex 0 removed),
     R(u, v) = X_uu + X_vv - 2 X_uv and R(u, 0) = X_uu, so summing over the
     pairs gives Kf = n tr X - 1^T X 1.  L_0 of a connected row is positive
     definite, so X comes from an unpivoted Gauss-Jordan sweep in place over
-    the rows-last Laplacian stack, SWEEP_ROWS rows at a time.
+    a contiguous rows-last stack of L_0, SWEEP_ROWS rows at a time.  A row's
+    L_0 is its prefix's (:func:`batch_laplacian`, taken along the rows), with
+    its tail edges' -1 set at their offsets (:func:`_tail_graphs`) and the
+    sum of the prefix and tail degrees on the diagonal: the -0.0, -1.0 and
+    integer entries the row's own Laplacian has.
     """
-    kf = np.empty(ends.shape[0])
-    for start in range(0, ends.shape[0], SWEEP_ROWS):
-        chunk = ends[start : start + SWEEP_ROWS]
-        X = batch_laplacian(n, chunk, batch_degrees(n, chunk)).transpose(1, 2, 0)[1:, 1:]
+    ends = batch_ends(n, block.prefixes)
+    deg = batch_degrees(n, ends)
+    prefix_L0 = np.ascontiguousarray(batch_laplacian(n, ends, deg).transpose(1, 2, 0)[1:, 1:])
+    prefix_deg = np.ascontiguousarray(deg[:, 1:].T)
+    _, tail_deg, offsets = _tail_graphs(n, block.tails.shape[1])
+    kf = np.empty(idx.size)
+    for start in range(0, idx.size, SWEEP_ROWS):
+        rows = idx[start : start + SWEEP_ROWS]
+        pid, tid = block.pid[rows], block.tid[rows]
+        X = np.take(prefix_L0, pid, axis=2)
+        X.reshape(-1)[offsets[:, tid] * pid.size + np.arange(pid.size)] = -1.0
+        X.reshape(-1, pid.size)[::n] = np.take(prefix_deg, pid, axis=1) + np.take(tail_deg, tid, axis=1)  # the diagonal
         _invert_rows_last(X)
         kf[start : start + SWEEP_ROWS] = n * np.einsum("iib->b", X) - X.sum(axis=(0, 1))
     return kf
@@ -670,9 +828,9 @@ def block_rows(n: int) -> int:
     return rows
 
 
-def _blocks(spec: EnumerationSpec, start: int, stop: int) -> Iterator[tuple[int, np.ndarray | range]]:
+def _blocks(spec: EnumerationSpec, start: int, stop: int) -> Iterator[tuple[int, SubsetBlock | range]]:
     """(first rank, rows) for each block of the ranks [start, stop) of ``spec``:
-    (B, k) subset index rows, or the block's range of ranks in a tree space."""
+    a :class:`SubsetBlock`, or the block's range of ranks in a tree space."""
     n, block = spec.n, block_rows(spec.n)
     if spec.mode == "labeled-trees":
         return ((r, range(r, min(r + block, stop))) for r in range(start, stop, block))
@@ -691,18 +849,21 @@ def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFA
     A space larger than ``budget`` raises :class:`BudgetExceededError`
     before any block runs.  Blocks start at multiples of
     ``block_rows(n)``, so they depend on the space alone, and each of at
-    most ``jobs`` contiguous runs of whole blocks goes to one worker.  A
-    space of one block, or jobs=1, runs inline; otherwise a fork pool of
-    at most one worker per usable CPU runs the runs, and ``kernel`` must
-    pickle (a module-level function or a partial of one).  ``merge`` sees
-    the same partials for any ``jobs``, so no result or report byte depends on it.
+    most ``jobs`` contiguous runs of whole blocks goes to one worker.  A run
+    takes at least the blocks that hold FORK_WORK rows x n^3, so a space too
+    small to pay for a second worker, or jobs=1, runs inline; otherwise a
+    fork pool of at most one worker per usable CPU runs the runs, and
+    ``kernel`` must pickle (a module-level function or a partial of one).
+    ``merge`` sees the same partials for any ``jobs``, so no result or report
+    byte depends on it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     total = check_budget(spec, budget)
     block = block_rows(spec.n)
     blocks = -(-total // block)
-    jobs = min(jobs, blocks)
+    per_job = -(-FORK_WORK // (block * spec.n**3))  # the blocks that pay for a worker's start
+    jobs = min(jobs, max(1, blocks // per_job))
     bounds = [min(total, block * (blocks * i // jobs)) for i in range(jobs + 1)]
     tasks = [(spec, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
     if jobs == 1:
@@ -746,23 +907,24 @@ def merge_subset_scans(objective: str, top: int, parts: list[SubsetScan]) -> Sub
     )
 
 
-def _kf_kernel(n, deleted, objective, top, classify, rank0, subs) -> SubsetScan:
+def _kf_kernel(n, deleted, objective, top, classify, rank0, block) -> SubsetScan:
     if deleted:  # p <= n - 2 (scan_subsets): every row is connected
+        subs = block.rows
         idx = np.arange(subs.shape[0])
         _, kf = batch_kf(n, batch_eigenvalues(n, batch_ends(n, subs), gram_classes(n, subs)))
     else:
-        idx = np.flatnonzero(batch_connected(n, subs))
-        kf = batch_kf_sweep(n, batch_ends(n, subs[idx]))
+        idx = np.flatnonzero(block_connected(n, block))
+        kf = block_kf_sweep(n, block, idx)
     if classify is None:
         pooled = _pool_top_groups(kf, rank0 + idx, objective, top)
-        return SubsetScan(subs.shape[0], idx.size, *pooled)
-    keys = classify(n, subs[idx])
+        return SubsetScan(block.shape[0], idx.size, *pooled)
+    keys = classify(n, block.rows[idx])
     by_key = {}
     for key in np.unique(keys):
         sel = np.flatnonzero(keys == key)
         pooled = _pool_top_groups(kf[sel], rank0 + idx[sel], objective, top)
         by_key[int(key)] = SubsetScan(sel.size, sel.size, *pooled)
-    return SubsetScan(subs.shape[0], idx.size, by_key=by_key)
+    return SubsetScan(block.shape[0], idx.size, by_key=by_key)
 
 
 def scan_subsets(
@@ -791,7 +953,7 @@ def scan_subsets(
     return scan(spec, kernel, partial(merge_subset_scans, objective, top), jobs, budget)
 
 
-def _class_kernel(n, classes, rank0, subs) -> dict:
+def _class_kernel(n, classes, rank0, block) -> dict:
     """(Q, v, dmax) -> (rows, lowest rank) of a deleted-edges block.
 
     Rows are keyed by Gram matrix alone (:func:`gram_keys`), SWEEP_ROWS at a
@@ -801,6 +963,7 @@ def _class_kernel(n, classes, rank0, subs) -> dict:
     so it fixes H up to isomorphism (Whitney, Amer. J. Math. 54, 1932), and
     with it v and dmax.
     """
+    subs = block.rows
     keys = np.concatenate([gram_keys(n, subs[i : i + SWEEP_ROWS]) for i in range(0, subs.shape[0], SWEEP_ROWS)])
     keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
     keys = keys.tolist()

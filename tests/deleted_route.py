@@ -54,6 +54,11 @@ def deleted_eigenvalues(n, ends, classes=None):
     return eigs
 
 
+def on_rows(kernel, rank0, block):
+    """``kernel(rank0, rows)`` of a scan block's materialised (B, k) rows."""
+    return kernel(rank0, block.rows)
+
+
 def kf_kernel(n, objective, top, rank0, subs):
     """A deleted-edges block's pooled Kf over its connected rows, every row in the deleted space's numbering."""
     idx = connected_rows(n, subs)
@@ -65,5 +70,5 @@ def kf_kernel(n, objective, top, rank0, subs):
 def scan_subsets(spec, objective, top, jobs=1, budget=enum.DEFAULT_BUDGET):
     """``enumeration.scan_subsets`` as it scanned a deleted-edges space: every row of the space itself."""
     assert spec.mode == "deleted-edges"
-    kernel = partial(kf_kernel, spec.n, objective, top)
+    kernel = partial(on_rows, partial(kf_kernel, spec.n, objective, top))
     return enum.scan(spec, kernel, partial(enum.merge_subset_scans, objective, top), jobs, budget)

@@ -156,7 +156,7 @@ def upper_bound(n, p, jobs=1):
     """(report, maximizer ranks) of the labeled upper-bound verdict."""
     report = VerificationReport("upper-bound", {"n": n, "p": p})
     spec = enum.deleted_edges(n, p)
-    scan = enum.scan(spec, partial(upper_bound_kernel, spec), merge, jobs)
+    scan = enum.scan(spec, partial(deleted_route.on_rows, partial(upper_bound_kernel, spec)), merge, jobs)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
     star, star_kf, _ = _checked_family_kf(report, "star deletion", FamilySpec("kn-minus-star", (n, p)))
@@ -182,7 +182,7 @@ def tree_count_bound(n, p, jobs=1):
     report = VerificationReport("tree-count-bound", {"n": n, "p": p})
     bound = bound_eval(n, p).tree_count_lower
     spec = enum.deleted_edges(n, p)
-    scan = enum.scan(spec, partial(tree_count_kernel, spec, bound), merge, jobs)
+    scan = enum.scan(spec, partial(deleted_route.on_rows, partial(tree_count_kernel, spec, bound)), merge, jobs)
     report.checked_count = scan.connected
     report.counterexamples.extend(scan.failures)
     star = build(FamilySpec("kn-minus-star", (n, p)))

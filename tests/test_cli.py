@@ -65,7 +65,7 @@ class TestCompute:
         "argv",
         [
             ("search", "--deleted-edges", "6,2", "--max", "--jobs", "1"),  # inline scan
-            ("search", "--deleted-edges", "8,4", "--max", "--jobs", "2"),  # fork pool
+            ("search", "--deleted-edges", "8,6", "--max", "--jobs", "2"),  # fork pool: 23 blocks
         ],
         ids=["inline", "fork-pool"],
     )

@@ -22,9 +22,10 @@ from kirchhoff.enumeration import (
     batch_eigenvalues,
     batch_ends,
     batch_kf,
-    batch_kf_sweep,
     batch_laplacian,
     batch_tree_counts,
+    block_connected,
+    block_kf_sweep,
     block_rows,
     cardinality,
     check_budget,
@@ -40,10 +41,12 @@ from kirchhoff.enumeration import (
     prufer_decode,
     prufer_rows,
     prufer_steps,
+    rank_rows,
     row_graph,
     scan_labeled_trees,
     scan_subsets,
     subset_blocks,
+    subset_tail_length,
     suffix_masks,
     tail_length,
     wiener_block,
@@ -74,6 +77,31 @@ def adjacency_cycle_length(n, subsets):
         keep = ~leaves
         A &= keep[:, :, None] & keep[:, None, :]
     return (A.sum(axis=2) > 0).sum(axis=1)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The size of each fork pool ``scan`` opens, with the pool's tasks run in this process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    class Context:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    return sizes
 
 
 def block_extent(rank0, rows):
@@ -187,7 +215,7 @@ class TestUnranking:
         blocks = list(subset_blocks(10, 4, 30, 150, 32))
         ranks = [r for r, _ in blocks]
         assert ranks[0] == 30
-        rows = np.concatenate([b for _, b in blocks])
+        rows = np.concatenate([b.rows for _, b in blocks])
         assert rows.tolist() == [list(c) for c in islice(combinations(range(10), 4), 30, 150)]
 
     @settings(max_examples=300, deadline=None)
@@ -209,7 +237,7 @@ class TestUnranking:
         blocks = list(subset_blocks(m, k, start, stop, block))
         assert [r for r, _ in blocks] == list(range(start, start + len(expected), block))
         assert all(rows.shape == (min(block, start + len(expected) - r), k) for r, rows in blocks)
-        got = [tuple(int(x) for x in row) for _, rows in blocks for row in rows]
+        got = [tuple(int(x) for x in row) for _, rows in blocks for row in rows.rows]
         assert got == expected
 
     def test_colex_binomials_saturate_at_int64(self):
@@ -225,6 +253,67 @@ class TestUnranking:
     def test_subset_ranks_beyond_int64_refused(self):
         with pytest.raises(ValueError, match=r"C\(200,100\)"):
             next(subset_blocks(200, 100, 0, 1, 1))
+
+
+def _block_rows_as_unranked(m, k, block, start=0, stop=None):
+    """Whether every subset block of [start, stop) holds the rows unrank_rows gives its ranks."""
+    stop = math.comb(m, k) if stop is None else stop
+    want = enum.unrank_rows(m, k, np.arange(start, stop))
+    for rank0, b in subset_blocks(m, k, start, stop, block):
+        rows = b.rows
+        if not (b.shape == rows.shape and len(b) == rows.shape[0]):
+            return False
+        if rows.tolist() != want[rank0 - start : rank0 - start + block].tolist():
+            return False
+    return rank0 == start + block * ((stop - start - 1) // block)
+
+
+class TestSubsetBlocks:
+    """Blocks built from shared prefixes and a lex table of tails, against unrank_rows."""
+
+    @pytest.mark.parametrize("m", range(16))
+    def test_every_block_as_unrank_rows(self, m):
+        # blocks of 1, 7 and 32 rows cut the runs of rows that share a prefix mid-way
+        for k in range(m + 1):
+            for block in (1, 7, 32, 1 << 14):
+                assert _block_rows_as_unranked(m, k, block), (m, k, block)
+
+    @pytest.mark.parametrize(
+        "m,k,start,stop,block",
+        [
+            (21, 0, 0, 1, 1 << 14),  # one empty row
+            (21, 3, 0, 1330, 1 << 14),  # L = k: the prefix is empty, the rows are the tail table
+            (21, 3, 5, 1000, 7),
+            (21, 21, 0, 1, 1 << 14),  # k = m
+            (28, 9, 0, 3 * (1 << 14), 1 << 14),
+            (28, 9, math.comb(28, 9) - 40000, math.comb(28, 9), 1 << 14),
+            (66, 14, 10**12, 10**12 + 5000, 2048),  # one-slot tails, prefix ranks past 2^32
+            (1891, 1890, 0, 1891, 512),
+        ],
+    )
+    def test_edge_cases_as_unrank_rows(self, m, k, start, stop, block):
+        assert _block_rows_as_unranked(m, k, block, start, stop)
+
+    def test_tail_length_from_the_edge_count(self):
+        # C(m, L) <= SWEEP_ROWS: three slots at n = 7, two at n = 8..11, one up to n = 62
+        lengths = {n: subset_tail_length(n * (n - 1) // 2, n + 1) for n in range(4, 63)}
+        assert lengths == {4: 5, 5: 6, 6: 4, 7: 3, **dict.fromkeys(range(8, 12), 2), **dict.fromkeys(range(12, 63), 1)}
+        assert [subset_tail_length(21, k) for k in range(6)] == [0, 1, 2, 3, 3, 3]
+        assert subset_tail_length(10, 10) == 10 and subset_tail_length(0, 0) == 0
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_rank_rows_inverts_unrank_rows(self, m):
+        for k in range(m + 1):
+            ranks = np.arange(math.comb(m, k))
+            rows = enum.unrank_rows(m, k, ranks)
+            assert rank_rows(m, k, rows).tolist() == ranks.tolist()
+            assert rows.tolist() == [list(c) for c in combinations(range(m), k)]
+
+    def test_rank_rows_at_large_ranks(self):
+        for m, k in [(1891, 1890), (66, 14), (78, 76), (190, 188)]:
+            total = math.comb(m, k)
+            ranks = np.array(sorted({0, 1, total // 3, total // 2, total - 2, total - 1}), dtype=np.int64)
+            assert rank_rows(m, k, enum.unrank_rows(m, k, ranks)).tolist() == ranks.tolist()
 
 
 class TestMember:
@@ -521,32 +610,27 @@ class TestBulkKernels:
         assert one.hist.tolist() == three.hist.tolist()
         assert one.first_rank == three.first_rank
 
-    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
-
-        class Context:
-            Pool = InlinePool
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    def test_pool_is_capped_at_the_usable_cpus(self, inline_pool, monkeypatch):
         monkeypatch.setattr(enum.os, "sched_getaffinity", lambda pid: {0, 1})
         many = labeled_tree_scan(8, jobs=100000)
         one = labeled_tree_scan(8, jobs=1)
         labeled_tree_scan(6, jobs=2)  # one block runs inline
-        assert sizes == [2]
+        assert inline_pool == [2]
         assert many.hist.tolist() == one.hist.tolist() and many.first_rank == one.first_rank
+
+    def test_a_worker_takes_the_blocks_that_pay_for_its_start(self, inline_pool, monkeypatch):
+        # six blocks of 2^14 rows per worker at n = 7, four at n = 8 (FORK_WORK)
+        runs = []
+        monkeypatch.setattr(enum, "_scan_worker", lambda task: runs.append(task[2:]) or [])
+
+        def workers(spec, jobs):
+            runs.clear()
+            enum.scan(spec, block_extent, list, jobs)
+            return len(runs)
+
+        assert [workers(connected_with_edges(7, m), 4) for m in (6, 7, 8, 9)] == [1, 1, 2, 3]
+        assert [workers(deleted_edges(8, p), 2) for p in (4, 5, 6)] == [1, 1, 2]
+        assert workers(labeled_trees(8), 100000) == 4
 
     def test_unicyclic_girth_split(self):
         scan = scan_subsets(connected_with_edges(6, 6), "max", 1, classify=batch_cycle_length)
@@ -569,10 +653,37 @@ def _eigvalsh_kf(n, ends):
     return batch_kf(n, _full_spectrum(n, ends))[1]
 
 
+def _eigvalsh_block_kf(n, block, idx):
+    """``block_kf_sweep`` by the eigvalsh route, on the block's materialised rows."""
+    return _eigvalsh_kf(n, batch_ends(n, block.rows[idx]))
+
+
 def _connected_ends(n, m):
     """Endpoints of every connected m-edge graph on n labeled vertices."""
     subs = _all_subsets(n, m)
     return batch_ends(n, subs[batch_connected(n, subs)])
+
+
+def _sweep_kf(n, m):
+    """``block_kf_sweep`` of every connected row of connected_with_edges(n, m), in rank order."""
+    spec = connected_with_edges(n, m)
+    parts = [np.zeros(0)]
+    for _, block in enum._blocks(spec, 0, cardinality(spec)):
+        parts.append(block_kf_sweep(n, block, np.flatnonzero(block_connected(n, block))))
+    return np.concatenate(parts)
+
+
+def per_row_kf_sweep(n, ends):
+    """The sweep on each row's own Laplacian, as ``block_kf_sweep`` assembled it before
+    subset blocks shared their prefixes, kept as its oracle: ``batch_ends`` of the rows,
+    then ``batch_degrees`` and ``batch_laplacian``, SWEEP_ROWS rows at a time."""
+    kf = np.empty(ends.shape[0])
+    for start in range(0, ends.shape[0], enum.SWEEP_ROWS):
+        chunk = ends[start : start + enum.SWEEP_ROWS]
+        X = batch_laplacian(n, chunk, batch_degrees(n, chunk)).transpose(1, 2, 0)[1:, 1:]
+        enum._invert_rows_last(X)
+        kf[start : start + enum.SWEEP_ROWS] = n * np.einsum("iib->b", X) - X.sum(axis=(0, 1))
+    return kf
 
 
 def argsort_pool(vals, ranks, objective, top):
@@ -625,9 +736,9 @@ class TestPool:
     def test_scan_blocks_as_the_argsort_pool(self, objective, top):
         # Kf of a block's connected rows: thousands of exact and near ties
         spec = connected_with_edges(7, 8)
-        for rank0, subs in islice(enum._blocks(spec, 0, cardinality(spec)), 3):
-            idx = np.flatnonzero(batch_connected(7, subs))
-            kf = batch_kf_sweep(7, batch_ends(7, subs[idx]))
+        for rank0, block in islice(enum._blocks(spec, 0, cardinality(spec)), 3):
+            idx = np.flatnonzero(block_connected(7, block))
+            kf = block_kf_sweep(7, block, idx)
             got = enum._pool_top_groups(kf, rank0 + idx, objective, top)
             want = argsort_pool(kf, rank0 + idx, objective, top)
             assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
@@ -635,7 +746,7 @@ class TestPool:
 
 def _block_results(spec, top, classify, monkeypatch, route):
     """Each block's pooled (first rank, ranks, value groups with formatted leads), by key."""
-    monkeypatch.setattr(enum, "batch_kf_sweep", route)
+    monkeypatch.setattr(enum, "block_kf_sweep", route)
     results = []
     for rank0, rows in enum._blocks(spec, 0, cardinality(spec)):
         part = enum._kf_kernel(spec.n, False, "max", top, classify, rank0, rows)
@@ -653,9 +764,8 @@ class TestSweepKf:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_every_connected_row_as_its_spectrum(self, n):
         for m in range(n * (n - 1) // 2 + 1):
-            ends = _connected_ends(n, m)
-            exact = _eigvalsh_kf(n, ends)
-            assert (np.abs(batch_kf_sweep(n, ends) - exact) <= 1e-12 * exact).all()
+            exact = _eigvalsh_kf(n, _connected_ends(n, m))
+            assert (np.abs(_sweep_kf(n, m) - exact) <= 1e-12 * exact).all()
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_tree_rows_as_their_wiener_index(self, n):
@@ -664,7 +774,7 @@ class TestSweepKf:
         idx = np.flatnonzero(batch_connected(n, subs))
         assert idx.size == n ** (n - 2)  # Cayley: every connected n-1 edge graph is a tree
         W = np.array([wiener(row_graph(spec, row)) for row in subs[idx].tolist()], dtype=float)
-        assert (np.abs(batch_kf_sweep(n, batch_ends(n, subs[idx])) - W) <= 1e-12 * W).all()
+        assert (np.abs(_sweep_kf(n, n - 1) - W) <= 1e-12 * W).all()
 
     @pytest.mark.parametrize(
         "spec,top,classify",
@@ -672,9 +782,24 @@ class TestSweepKf:
         ids=["top-3", "unicyclic"],
     )
     def test_every_block_pools_as_the_eigvalsh_route(self, spec, top, classify, monkeypatch):
-        sweep = _block_results(spec, top, classify, monkeypatch, batch_kf_sweep)
-        reference = _block_results(spec, top, classify, monkeypatch, _eigvalsh_kf)
+        sweep = _block_results(spec, top, classify, monkeypatch, block_kf_sweep)
+        reference = _block_results(spec, top, classify, monkeypatch, _eigvalsh_block_kf)
         assert sweep == reference
+
+    @pytest.mark.parametrize(
+        "n,m,blocks",
+        [(7, 8, None), (7, 7, None), (8, 9, 1), (12, 14, 1), (20, 188, 1), (62, 1890, None)],
+        ids=str,
+    )
+    def test_blocks_as_the_per_row_sweep(self, n, m, blocks):
+        # the same connected rows and the same Kf bits as each row's own Laplacian gives
+        spec = connected_with_edges(n, m)
+        for rank0, block in islice(enum._blocks(spec, 0, cardinality(spec)), blocks):
+            rows = enum.unrank_rows(n * (n - 1) // 2, m, np.arange(rank0, rank0 + block.shape[0]))
+            idx = np.flatnonzero(block_connected(n, block))
+            assert idx.tolist() == np.flatnonzero(batch_connected(n, rows)).tolist()
+            kf = block_kf_sweep(n, block, idx)
+            assert kf.tobytes() == per_row_kf_sweep(n, batch_ends(n, rows[idx])).tobytes()
 
     def test_connected_scans_call_no_eigensolver(self, monkeypatch):
         def fail(*args):
@@ -886,7 +1011,8 @@ class TestGramClasses:
     def test_at_most_n_minus_2_deletions_leave_every_row_connected(self, n):
         m = n * (n - 1) // 2
         for p in range(n - 1):
-            for _, subs in subset_blocks(m, p, 0, math.comb(m, p), block_rows(n)):
+            for _, block in subset_blocks(m, p, 0, math.comb(m, p), block_rows(n)):
+                subs = block.rows
                 assert deleted_route.deleted_connected(n, subs).all()
                 assert deleted_route.connected_rows(n, subs).tolist() == list(range(subs.shape[0]))
 
@@ -895,6 +1021,7 @@ class TestGramClasses:
             raise AssertionError("batch_connected called")
 
         monkeypatch.setattr(enum, "batch_connected", fail)
+        monkeypatch.setattr(enum, "block_connected", fail)
         monkeypatch.setattr(deleted_route, "deleted_connected", fail)
         assert scan_subsets(deleted_edges(6, 4), "max", 1).connected == math.comb(15, 4)
         idx, _, _, _ = labeled_bounds.deletion_block(deleted_edges(8, 4), _all_subsets(8, 4)[:100])
@@ -991,8 +1118,8 @@ class TestCycleLength:
         spec = connected_with_edges(8, m)
         total, block = cardinality(spec), block_rows(8)
         for rank0 in (0, block * (total // block // 2), block * (total // block)):
-            (_, subs), = subset_blocks(28, m, rank0, rank0 + block, block)
-            subs = subs[batch_connected(8, subs)]
+            (_, rows), = subset_blocks(28, m, rank0, rank0 + block, block)
+            subs = rows.rows[block_connected(8, rows)]
             assert batch_cycle_length(8, subs).tolist() == adjacency_cycle_length(8, subs).tolist()
 
     def test_empty_block(self):

@@ -73,7 +73,8 @@ class TestComplementShape:
     @pytest.mark.parametrize("n,p", [(7, 3), (8, 4)])
     def test_block_star_mask_and_deletion_key_match_per_row(self, n, p):
         m = n * (n - 1) // 2
-        (_, subs), = subset_blocks(m, p, 0, cardinality(deleted_edges(n, p)), 1 << 15)
+        (_, block), = subset_blocks(m, p, 0, cardinality(deleted_edges(n, p)), 1 << 15)
+        subs = block.rows
         table = complete_edge_table(n)
         stars = [edge_shape([table[i] for i in row]) == ComplementShape("star", p) for row in subs.tolist()]
         assert (batch_degrees(n, batch_ends(n, subs)).max(axis=1) == p).tolist() == stars
@@ -132,8 +133,8 @@ def _blocks(n, p):
     """(spec, first rank, rows) of every scan block of K_n minus p edges."""
     spec = deleted_edges(n, p)
     m = n * (n - 1) // 2
-    for rank0, subs in subset_blocks(m, p, 0, cardinality(spec), block_rows(n)):
-        yield spec, rank0, subs
+    for rank0, block in subset_blocks(m, p, 0, cardinality(spec), block_rows(n)):
+        yield spec, rank0, block.rows
 
 
 def _per_row_tree_count_failures(spec, bound, subs):
