@@ -49,8 +49,8 @@ and it decodes inline, from rank 0, only the blocks up to the last value's
 first tree.  One scan engine (:func:`scan`) runs every other exhaustive
 scan: blocks start at multiples of the block size, each job takes a run of
 whole blocks, and every block's partial result merges in rank order, so
-the job count changes no block and no result.  It forks only for a space
-with the work to pay for a second worker (``FORK_WORK``), and imports
+the job count changes no block and no result.  It forks only where each
+worker gets at least ``FORK_BLOCKS`` blocks, and imports
 :mod:`multiprocessing` only then, so inline scans never load it.
 """
 
@@ -79,12 +79,15 @@ TIE_TOL = 1e-7
 # hold at most SWEEP_ROWS rows each.
 SWEEP_ROWS = 2048
 
-# Sweep work, rows x n^3, that pays for the start of a fork worker (scan): six
-# blocks of 2^14 rows at n = 7.  On 2 cores, inline against 2 workers, the 8
-# blocks of connected_with_edges(7, 7) took 43 and 61 ms, its 13 at (7, 8) 90
-# and 75 ms, and the 6 of deleted_edges(8, 5), four to a worker at n = 8, 52
-# and 54 ms.
-FORK_WORK = 1 << 25
+# Fewest blocks a fork worker takes (scan).  No one count fits every space: a
+# block's cost varies twenty-fold with its kernel and its share of connected
+# rows.  On 2 cores a second worker cost 13 to 23 ms on the sparse and
+# Gram-route spaces of 2 or 3 blocks at n = 7..12; it would save about 55 ms
+# on the dense ones, connected_with_edges(11, 52) and (12, 63), which run
+# inline.  A larger count would keep dense spaces of 4 and 5 blocks inline
+# too: connected_with_edges(9, 32) took 171 ms inline and 136 ms on two
+# workers, (13, 75) 880 and 465 ms.
+FORK_BLOCKS = 2
 
 
 class BudgetExceededError(ValueError):
@@ -108,7 +111,7 @@ class EnumerationSpec:
 def check_n(n: int) -> None:
     """Every space, Prüfer decode and verifier holds 2..62 vertices: witnesses print
     as graph6, whose one size byte stops at 62, and the vertex bitmasks of
-    batch_connected (int64 past 32 vertices) and prufer_steps (int64) hold that many."""
+    _neighbour_masks (int64 past 32 vertices) and prufer_steps (int64) hold that many."""
     if not 2 <= n <= 62:
         raise ValueError(f"enumeration spaces need 2 <= n <= 62, got n={n}")
 
@@ -412,13 +415,6 @@ def _neighbour_masks(n: int, subsets: np.ndarray) -> np.ndarray:
     return masks
 
 
-def batch_connected(n: int, subsets: np.ndarray) -> np.ndarray:
-    """Exact connectivity of the graph of the edges each subset row selects (n <= 62),
-    from its neighbour bitmasks (:func:`_all_reached`); a scan block ORs its
-    prefix and tail masks instead (:func:`block_connected`)."""
-    return _all_reached(n, _neighbour_masks(n, subsets))
-
-
 def _all_reached(n: int, masks: np.ndarray) -> np.ndarray:
     """Whether vertex 0 reaches every vertex, from (n, B) neighbour bitmasks.
 
@@ -591,8 +587,9 @@ def _tail_graphs(n: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def block_connected(n: int, block: SubsetBlock) -> np.ndarray:
-    """:func:`batch_connected` of a scan block's rows: each row's neighbour masks are
-    its prefix's OR its tail's, two gathers in place of one per slot."""
+    """Exact connectivity of the graph of each row of a scan block (n <= 62): each
+    row's neighbour masks are its prefix's OR its tail's, two gathers in place of
+    one per slot, and vertex 0 must reach every vertex (:func:`_all_reached`)."""
     masks = np.take(_neighbour_masks(n, block.prefixes), block.pid, axis=1)
     masks |= np.take(_tail_graphs(n, block.tails.shape[1])[0], block.tid, axis=1)
     return _all_reached(n, masks)
@@ -850,8 +847,8 @@ def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFA
     before any block runs.  Blocks start at multiples of
     ``block_rows(n)``, so they depend on the space alone, and each of at
     most ``jobs`` contiguous runs of whole blocks goes to one worker.  A run
-    takes at least the blocks that hold FORK_WORK rows x n^3, so a space too
-    small to pay for a second worker, or jobs=1, runs inline; otherwise a
+    takes at least FORK_BLOCKS blocks, so a space of fewer than twice that
+    many, or jobs=1, runs inline; otherwise a
     fork pool of at most one worker per usable CPU runs the runs, and
     ``kernel`` must pickle (a module-level function or a partial of one).
     ``merge`` sees the same partials for any ``jobs``, so no result or report
@@ -862,8 +859,7 @@ def scan(spec: EnumerationSpec, kernel, merge, jobs: int = 1, budget: int = DEFA
     total = check_budget(spec, budget)
     block = block_rows(spec.n)
     blocks = -(-total // block)
-    per_job = -(-FORK_WORK // (block * spec.n**3))  # the blocks that pay for a worker's start
-    jobs = min(jobs, max(1, blocks // per_job))
+    jobs = min(jobs, max(1, blocks // FORK_BLOCKS))
     bounds = [min(total, block * (blocks * i // jobs)) for i in range(jobs + 1)]
     tasks = [(spec, kernel, bounds[i], bounds[i + 1]) for i in range(jobs)]
     if jobs == 1:

@@ -16,7 +16,6 @@ import labeled_bounds
 from kirchhoff.cli import main
 from kirchhoff.enumeration import (
     BudgetExceededError,
-    batch_connected,
     batch_cycle_length,
     batch_degrees,
     batch_eigenvalues,
@@ -55,6 +54,7 @@ from kirchhoff.enumeration import (
 from kirchhoff.families import GI_PATTERNS, FamilySpec, build, closed_form_kf
 from kirchhoff.graphs import is_connected, make_graph
 from kirchhoff.spectral import batch_determinant, charpoly, kf_resistance, kf_spectral, wiener
+from row_route import batch_connected, per_row_kf_sweep
 
 
 def batch_adjacency(n, subsets, dtype):
@@ -618,8 +618,7 @@ class TestBulkKernels:
         assert inline_pool == [2]
         assert many.hist.tolist() == one.hist.tolist() and many.first_rank == one.first_rank
 
-    def test_a_worker_takes_the_blocks_that_pay_for_its_start(self, inline_pool, monkeypatch):
-        # six blocks of 2^14 rows per worker at n = 7, four at n = 8 (FORK_WORK)
+    def test_a_worker_takes_at_least_two_blocks(self, inline_pool, monkeypatch):
         runs = []
         monkeypatch.setattr(enum, "_scan_worker", lambda task: runs.append(task[2:]) or [])
 
@@ -628,9 +627,11 @@ class TestBulkKernels:
             enum.scan(spec, block_extent, list, jobs)
             return len(runs)
 
-        assert [workers(connected_with_edges(7, m), 4) for m in (6, 7, 8, 9)] == [1, 1, 2, 3]
-        assert [workers(deleted_edges(8, p), 2) for p in (4, 5, 6)] == [1, 1, 2]
-        assert workers(labeled_trees(8), 100000) == 4
+        # 2, 3, 4, 8 and 13 blocks of 2^14 rows; then 5 of 4,096 rows at n = 20
+        spaces = [(7, 5), (12, 63), (9, 32), (7, 7), (7, 8), (20, 188)]
+        assert [workers(connected_with_edges(n, k), 4) for n, k in spaces] == [1, 1, 2, 4, 4, 2]
+        assert [workers(deleted_edges(8, p), 2) for p in (4, 5)] == [1, 2]
+        assert workers(labeled_trees(8), 100000) == 8  # 16 blocks
 
     def test_unicyclic_girth_split(self):
         scan = scan_subsets(connected_with_edges(6, 6), "max", 1, classify=batch_cycle_length)
@@ -671,19 +672,6 @@ def _sweep_kf(n, m):
     for _, block in enum._blocks(spec, 0, cardinality(spec)):
         parts.append(block_kf_sweep(n, block, np.flatnonzero(block_connected(n, block))))
     return np.concatenate(parts)
-
-
-def per_row_kf_sweep(n, ends):
-    """The sweep on each row's own Laplacian, as ``block_kf_sweep`` assembled it before
-    subset blocks shared their prefixes, kept as its oracle: ``batch_ends`` of the rows,
-    then ``batch_degrees`` and ``batch_laplacian``, SWEEP_ROWS rows at a time."""
-    kf = np.empty(ends.shape[0])
-    for start in range(0, ends.shape[0], enum.SWEEP_ROWS):
-        chunk = ends[start : start + enum.SWEEP_ROWS]
-        X = batch_laplacian(n, chunk, batch_degrees(n, chunk)).transpose(1, 2, 0)[1:, 1:]
-        enum._invert_rows_last(X)
-        kf[start : start + enum.SWEEP_ROWS] = n * np.einsum("iib->b", X) - X.sum(axis=(0, 1))
-    return kf
 
 
 def argsort_pool(vals, ranks, objective, top):
@@ -1018,9 +1006,9 @@ class TestGramClasses:
 
     def test_connectivity_untested_below_n_minus_1_deletions(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("batch_connected called")
+            raise AssertionError("connectivity tested")
 
-        monkeypatch.setattr(enum, "batch_connected", fail)
+        monkeypatch.setattr(enum, "_all_reached", fail)
         monkeypatch.setattr(enum, "block_connected", fail)
         monkeypatch.setattr(deleted_route, "deleted_connected", fail)
         assert scan_subsets(deleted_edges(6, 4), "max", 1).connected == math.comb(15, 4)

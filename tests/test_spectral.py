@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import deleted_route
 import kirchhoff.enumeration as enum
 from kirchhoff.enumeration import (
-    batch_connected,
     batch_degrees,
     batch_ends,
     batch_kf,
@@ -50,6 +49,7 @@ from kirchhoff.spectral import (
     wiener,
 )
 from kirchhoff.verify import random_connected_graph
+from row_route import batch_connected
 
 
 def fam(kind, *args):
